@@ -20,7 +20,7 @@ import io
 import sys
 
 from . import selftest as selftest_mod
-from .code import dual, load_code
+from .code import dual, format_code_file, load_code
 from .construct import construct_dual_mds, construct_strongly_mds
 from .decoder import (feedback_decode, load_received, make_error_pattern,
                       save_received, simulate, word_from_polys)
@@ -110,13 +110,8 @@ def cmd_construct(args) -> int:
     body = ""
     if not args.out:
         body = "\n"
-    _write_or_print(body + _format_code(c), args.out)
+    _write_or_print(body + format_code_file(c), args.out)
     return 0
-
-
-def _format_code(c) -> str:
-    from .code import format_code_file
-    return format_code_file(c)
 
 
 def cmd_distances(args) -> int:
@@ -272,7 +267,7 @@ def cmd_dual(args) -> int:
     c = load_code(args.code)
     d = dual(c)
     print(f"dual code n={d.n} k={d.k} delta={d.delta} over {d.field}")
-    _write_or_print(_format_code(d), args.out)
+    _write_or_print(format_code_file(d), args.out)
     return 0
 
 

@@ -449,7 +449,10 @@ def parse_code_file(text: str) -> CodeSpec:
         if "=" not in tok:
             raise ParseError(f"bad code parameter token {tok!r}")
         key, val = tok.split("=", 1)
-        kv[key] = int(val)
+        try:
+            kv[key] = int(val)
+        except ValueError:
+            raise ParseError(f"bad code parameter token {tok!r}") from None
     try:
         n, k, delta = kv["n"], kv["k"], kv["delta"]
     except KeyError as e:
@@ -459,7 +462,10 @@ def parse_code_file(text: str) -> CodeSpec:
         header = take().split()
         if len(header) != 3 or header[0] not in ("G", "H"):
             raise ParseError(f"bad matrix header {' '.join(header)!r}")
-        tag, r, cnum = header[0], int(header[1]), int(header[2])
+        try:
+            tag, r, cnum = header[0], int(header[1]), int(header[2])
+        except ValueError:
+            raise ParseError(f"bad matrix header {' '.join(header)!r}") from None
         entries = []
         for _ in range(r):
             row = [parse_poly(take(), field) for _ in range(cnum)]

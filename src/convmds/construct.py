@@ -73,13 +73,11 @@ def column_property_holds(S: SlidingMatrix) -> bool:
     F = S.field
     M = S.j
     cols = linalg.transpose(S.data)
-    total = len(cols)
     n = S.block_cols
     for t in range(M + 1, M + n):
-        target = cols[t]
-        others = [i for i in range(total) if i != t]
-        for pick in itertools.combinations(others, M):
-            if linalg.in_span(F, [cols[i] for i in pick], target):
+        others = cols[:t] + cols[t + 1:]
+        for size in range(M + 1):
+            if any(linalg.span_supports(F, others, cols[t], size)):
                 return False
     return True
 

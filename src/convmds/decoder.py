@@ -13,7 +13,7 @@ Weights are Hamming weights over field coordinates throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from math import comb
 
 from . import linalg
 from .code import (CodeSpec, pm_memory, sliding_parity, window_generator,
@@ -28,10 +28,6 @@ from .poly import (format_poly, parse_poly, poly_add, poly_coef, poly_deg,
 from .rng import XorShift64Star
 
 DEFAULT_SOLVE_BUDGET = 1 << 20
-
-# Cap on enumerating an affine solution set when a support subset turns out
-# rank deficient; in practice the subsets are independent and this never hits.
-_NULL_ENUM_LIMIT = 4096
 
 
 # --- received words -------------------------------------------------------
@@ -135,7 +131,9 @@ def _eta_solutions(F: FiniteField, window, S, t: int, budget: int):
     """All minimum-support windows eta with eta * window^T = S and wt <= t.
 
     Supports are scanned in ascending size, lexicographically within a size.
-    Returns (size, solutions as full tuples); no solution gives (t, []).
+    Each size charges all comb(cols, size) candidate supports to the budget
+    before it runs.  Returns (size, solutions as full tuples); no solution
+    gives (t, []).
     """
     rows = len(window)
     cols = len(window[0]) if rows else 0
@@ -144,37 +142,18 @@ def _eta_solutions(F: FiniteField, window, S, t: int, budget: int):
     columns = [[window[r][ci] for r in range(rows)] for ci in range(cols)]
     spent = 0
     for size in range(1, t + 1):
+        spent += comb(cols, size)
+        if spent > budget:
+            raise BudgetExceeded(
+                f"syndrome search exceeded {budget} candidate supports")
         found = []
-        for subset in combinations(range(cols), size):
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(
-                    f"syndrome search exceeded {budget} linear solves")
-            A = [[columns[ci][r] for ci in subset] for r in range(rows)]
-            res = linalg.solve(F, A, list(S))
-            if res is None:
-                continue
-            part, nullbasis = res
-            if nullbasis:
-                if F.q ** len(nullbasis) > _NULL_ENUM_LIMIT:
-                    raise BudgetExceeded("degenerate support: solution set too large")
-                cands = []
-                for combo in product(range(F.q), repeat=len(nullbasis)):
-                    v = list(part)
-                    for coef, basis in zip(combo, nullbasis):
-                        if coef:
-                            v = [F.add(x, F.mul(coef, y)) for x, y in zip(v, basis)]
-                    cands.append(v)
-            else:
-                cands = [part]
-            for v in cands:
-                if all(v):
-                    eta = [0] * cols
-                    for ci, val in zip(subset, v):
-                        eta[ci] = val
-                    found.append(tuple(eta))
+        for subset, coeffs in linalg.span_supports(F, columns, S, size):
+            eta = [0] * cols
+            for ci, val in zip(subset, coeffs):
+                eta[ci] = val
+            found.append(tuple(eta))
         if found:
-            return size, sorted(set(found))
+            return size, sorted(found)
     return t, []
 
 

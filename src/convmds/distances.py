@@ -126,20 +126,6 @@ def _dc_messages(c: CodeSpec, j: int, budget: int) -> int:
 
     depth_states = min(nu, j) + 1
     mod = qk**depth_states
-    wtab = None
-    if mod <= _STATE_TABLE_LIMIT:
-        wtab = [0] * mod
-        for s in range(mod):
-            acc = [0] * n
-            x = s
-            for d in range(depth_states):
-                row = tabs[d][x % qk]
-                x //= qk
-                for i in range(n):
-                    if row[i]:
-                        acc[i] = F.add(acc[i], row[i])
-            wtab[s] = sum(1 for v in acc if v)
-
     def block_weight(state):
         acc = [0] * n
         x = state
@@ -150,6 +136,10 @@ def _dc_messages(c: CodeSpec, j: int, budget: int) -> int:
                 if row[i]:
                     acc[i] = F.add(acc[i], row[i])
         return sum(1 for v in acc if v)
+
+    wtab = None
+    if mod <= _STATE_TABLE_LIMIT:
+        wtab = [block_weight(s) for s in range(mod)]
 
     best = _window_cap(c, j) + 1
 
@@ -183,15 +173,9 @@ def _dc_syndrome(c: CodeSpec, j: int, budget: int) -> int:
         if spent > budget:
             raise BudgetExceeded(f"syndrome search at j={j} over budget {budget}")
         for t in range(n):
-            target = cols[t]
-            if s == 0:
-                if not any(target):
-                    return 1
-                continue
-            others = [i for i in range(N) if i != t]
-            for pick in itertools.combinations(others, s):
-                if linalg.in_span(F, [cols[i] for i in pick], target):
-                    return s + 1
+            # s grows from 0, so the first s with any support is the least
+            if any(linalg.span_supports(F, cols[:t] + cols[t + 1:], cols[t], s)):
+                return s + 1
     raise AssertionError("column distance exceeded its provable cap")
 
 

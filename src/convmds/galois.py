@@ -318,15 +318,18 @@ def parse_field(text: str) -> FiniteField:
     if not (s.startswith("GF(") and s.endswith(")")):
         raise ParseError(f"bad field syntax: {text!r}")
     body = s[3:-1]
-    if ";" in body:
-        head, coeffs = body.split(";", 1)
-        modulus = tuple(int(c) for c in coeffs.replace(" ", "").split(","))
-    else:
-        head, modulus = body, None
-    head = head.strip()
-    if "^" in head:
-        ps, ms = head.split("^", 1)
-        p, m = int(ps), int(ms)
-    else:
-        p, m = int(head), 1
+    try:
+        if ";" in body:
+            head, coeffs = body.split(";", 1)
+            modulus = tuple(int(c) for c in coeffs.replace(" ", "").split(","))
+        else:
+            head, modulus = body, None
+        head = head.strip()
+        if "^" in head:
+            ps, ms = head.split("^", 1)
+            p, m = int(ps), int(ms)
+        else:
+            p, m = int(head), 1
+    except ValueError:
+        raise ParseError(f"bad field syntax: {text!r}") from None
     return FiniteField(p, m, modulus)

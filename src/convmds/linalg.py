@@ -2,12 +2,14 @@
 
 Matrices are lists of row lists of int elements; vectors are lists or tuples.
 Everything here is plain Gaussian elimination sized for desk-scale problems
-(dimensions in the tens), where exactness matters and speed does not.
+(dimensions in the tens).  The exception is ``span_supports``, the support
+search behind the column distances, the construction certificate, the
+superregular battery and the decoder: it reduces incrementally along a
+depth-first walk instead of eliminating afresh for every index set, because
+those searches spend their time in it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import Singular
 from .galois import FiniteField
@@ -143,6 +145,65 @@ def in_span(F: FiniteField, vectors, target) -> bool:
     return solve(F, A, list(target)) is not None
 
 
+def span_supports(F: FiniteField, vectors, target, size: int):
+    """Index sets of ``size`` vectors whose span holds target with full support.
+
+    Walks index tuples P = (i_1 < ... < i_size) in lexicographic order, depth
+    first, keeping the not yet chosen vectors and the target reduced against
+    an echelon basis of the chosen prefix.  A vector that depends on the
+    prefix is skipped, and a prefix that already spans the target is not
+    extended.  Yields (P, coefficients) for every independent P with
+    target = sum_r coefficients[r] * vectors[i_r] and every coefficient
+    nonzero; ``solve`` runs only on the sets that span the target.
+
+    Skipping dependent sets loses no minimal support.  If target has a
+    full-support representation on a dependent P, subtracting a suitable
+    multiple of a dependency on P zeroes one coefficient, so target lies in
+    the span of a strictly smaller set.  Hence the least size that yields
+    anything is the least number of vectors whose span holds the target, and
+    every support of that size is independent.
+    """
+    vectors = [list(v) for v in vectors]
+    target = list(target)
+    if not any(target):
+        if size == 0:
+            yield (), []
+        return
+    pick = []
+
+    def walk(start, reduced, rest):
+        # reduced[i - start] is vectors[i] reduced against the prefix basis
+        last = len(pick) + 1 == size
+        for i in range(start, len(vectors) - size + len(pick) + 1):
+            v = reduced[i - start]
+            p = next((c for c, x in enumerate(v) if x), None)
+            if p is None:
+                continue  # depends on the prefix
+            f = F.div(rest[p], v[p])
+            r = [F.sub(x, F.mul(f, y)) for x, y in zip(rest, v)] if f else rest
+            pick.append(i)
+            if last:
+                if not any(r):
+                    A = [[vectors[j][row] for j in pick]
+                         for row in range(len(target))]
+                    coeffs = solve(F, A, target)[0]
+                    if all(coeffs):
+                        yield tuple(pick), coeffs
+            elif any(r):
+                inv = F.inv(v[p])
+                child = []
+                for u in reduced[i + 1 - start:]:
+                    if u[p]:
+                        g = F.mul(u[p], inv)
+                        u = [F.sub(x, F.mul(g, y)) for x, y in zip(u, v)]
+                    child.append(u)
+                yield from walk(i + 1, child, r)
+            pick.pop()
+
+    if size:
+        yield from walk(0, vectors, target)
+
+
 def kernel_basis(F: FiniteField, A):
     """Basis of the right kernel {x : A x = 0}."""
     cols = len(A[0]) if A else 0
@@ -171,23 +232,3 @@ def det_bareiss(A):
             M[i][c] = 0
         prev = M[c][c]
     return sign * M[n - 1][n - 1]
-
-
-def det_fraction(A):
-    """Exact determinant of a rational matrix (used as a cross-check oracle)."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            det = -det
-        det *= M[c][c]
-        for i in range(c + 1, n):
-            f = M[i][c] / M[c][c]
-            if f:
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return det

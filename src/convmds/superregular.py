@@ -27,7 +27,7 @@ from math import comb
 
 from . import linalg
 from .errors import BadParams, BudgetExceeded, Singular
-from .galois import FiniteField
+from .galois import FiniteField, is_prime
 from .poly import series_div
 from .rng import XorShift64Star
 
@@ -162,44 +162,20 @@ def check_equivalences(T: LowerToeplitz, budget: int = 1 << 22) -> EquivalenceRe
         if not c:
             break
 
-    def span_condition(target, t_first, e_first):
-        # target not in span of s T-columns (indices >= t_first, 0-based)
-        # plus t unit vectors (indices >= e_first), s + t <= l - 1
-        for s in range(l):
-            for t in range(l - s):
-                if s + t == 0:
-                    if not any(target):
-                        return False
-                    continue
-                for ms in itertools.combinations(range(t_first, l), s):
-                    for ls in itertools.combinations(range(e_first, l), t):
-                        vecs = [tcols[m] for m in ms] + [ecols[i] for i in ls]
-                        if linalg.in_span(F, vecs, target):
-                            return False
-        return True
+    def outside_span(target, pool):
+        # target lies in the span of no l - 1 or fewer vectors of the pool
+        return not any(any(linalg.span_supports(F, pool, target, s))
+                       for s in range(l))
 
-    d = span_condition(tcols[0], t_first=1, e_first=0)
-    f = span_condition(ecols[0], t_first=0, e_first=1)
-
-    def kernel_condition(special):
-        # no v with v Hhat^T = 0, v_special != 0 and wt(v) <= l, where
-        # Hhat = [I | T]; equivalently the special column of Hhat is outside
-        # the span of every set of at most l - 1 other columns
-        hcols = ecols + tcols
-        target = hcols[special]
-        others = [hcols[i] for i in range(2 * l) if i != special]
-        for s in range(l):
-            if s == 0:
-                if not any(target):
-                    return False
-                continue
-            for pick in itertools.combinations(range(2 * l - 1), s):
-                if linalg.in_span(F, [others[i] for i in pick], target):
-                    return False
-        return True
-
-    e = kernel_condition(l)  # column l+1 of [I | T], i.e. T_1
-    g = kernel_condition(0)  # column e_1
+    # span conditions: T_1 against the other T columns and the unit vectors,
+    # e_1 against the T columns and the other unit vectors
+    d = outside_span(tcols[0], tcols[1:] + ecols)
+    f = outside_span(ecols[0], tcols + ecols[1:])
+    # kernel conditions: no v with v Hhat^T = 0, v_special != 0 and
+    # wt(v) <= l, where Hhat = [I | T]; equivalently the special column of
+    # Hhat is outside the span of every set of at most l - 1 other columns
+    e = outside_span(tcols[0], ecols + tcols[1:])  # column l+1, i.e. T_1
+    g = outside_span(ecols[0], ecols[1:] + tcols)  # column e_1
 
     return EquivalenceReport(a, c, d, e, f, g)
 
@@ -273,20 +249,9 @@ def smallest_prime_superregular(n: int, prime_limit: int = 100000) -> int:
         if all(m % p for m in minors):
             return p
         p += 1
-        while not _is_prime(p):
+        while not is_prime(p):
             p += 1
     raise BadParams("no prime found below the limit")
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # --- searches --------------------------------------------------------------

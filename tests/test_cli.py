@@ -172,6 +172,24 @@ def test_domain_error_single_line(capsys):
     assert err.startswith("error[") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("field, params, header", [
+    ("GF(2^x)", "delta=1", "H 1 3"),
+    ("GF(a)", "delta=1", "H 1 3"),
+    ("GF(4;1,x)", "delta=1", "H 1 3"),
+    ("GF(5)", "delta=x", "H 1 3"),
+    ("GF(5)", "delta=1", "H a b"),
+])
+def test_malformed_code_file_is_a_parse_error(tmp_path, capsys, field,
+                                               params, header):
+    path = tmp_path / "bad.code"
+    path.write_text(f"field {field}\ncode n=3 k=2 {params}\n{header}\n"
+                    "1\n1,1\n1,0,1\n")
+    rc, out, err = run(capsys, "classify", "--code", str(path))
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[PARSE_ERROR]")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--n", "2"])

@@ -223,3 +223,7 @@ def test_code_file_parse_errors():
         parse_code_file(good + "G 1 3\n1\n1\n1\n")
     with pytest.raises(ParseError):
         parse_code_file(good + "Q 1 3\n")
+    with pytest.raises(ParseError):
+        parse_code_file(good + "H a b\n")
+    with pytest.raises(ParseError):
+        parse_code_file(good.replace("delta=1", "delta=x"))

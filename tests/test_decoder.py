@@ -1,6 +1,7 @@
 """Feedback decoding: syndromes, error solving, channels, end-to-end runs."""
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -11,9 +12,10 @@ from convmds.decoder import (encode_word, feedback_decode,
                              solve_eta0, systematic_shortcut, window_syndrome,
                              word_from_polys, word_to_polys)
 from convmds.distances import lm_params
-from convmds.errors import (Ambiguous, BadParams, FieldMismatch,
-                            HorizonExceeded, Infeasible, NoSolution,
-                            NotRateNMinus1, ParseError, ShapeMismatch)
+from convmds.errors import (Ambiguous, BadParams, BudgetExceeded,
+                            FieldMismatch, HorizonExceeded, Infeasible,
+                            NoSolution, NotRateNMinus1, ParseError,
+                            ShapeMismatch)
 from convmds.fixtures import decode_walkthrough, fixture
 from convmds.galois import standard_field
 from convmds.poly import poly_add, poly_mul
@@ -134,6 +136,19 @@ def test_solve_eta0_unique_at_guaranteed_weight():
         except NoSolution:
             pass
     assert solved > 0
+
+
+def test_solve_eta0_budget_boundary():
+    """The budget counts every support of each level up to the hit level."""
+    walk = decode_walkthrough()
+    c = fixture(walk["code"]).code
+    S = window_syndrome(walk["received"], c, 0)  # cycle 0 is a search cycle
+    # the leading error (1, 1) is the lightest match: weight 2 among the
+    # 10 columns of the parity window
+    through_hit = comb(10, 1) + comb(10, 2)
+    assert solve_eta0(S, c, budget=through_hit) == [1, 1]
+    with pytest.raises(BudgetExceeded):
+        solve_eta0(S, c, budget=through_hit - 1)
 
 
 def test_systematic_shortcut():

@@ -69,8 +69,10 @@ def test_column_distance_validation():
         column_distance(c, -1)
     with pytest.raises(BadParams):
         column_distance(c, 1, method="witchcraft")
-    with pytest.raises(BudgetExceeded):
-        column_distance(fixture("smds_7_1_2_q8").code, 4, budget=10)
+    for method in ("auto", "syndrome"):
+        with pytest.raises(BudgetExceeded):
+            column_distance(fixture("smds_7_1_2_q8").code, 4, budget=10,
+                            method=method)
     with pytest.raises(MissingMatrix):
         column_distance(fixture("smds_5_2_2_q16").code, 1, method="syndrome")
 

@@ -117,6 +117,7 @@ def test_parse_field_round_trip():
         assert parse_field(str(F)) == F
     assert parse_field("GF(7)") == standard_field(7)
     assert parse_field("GF(2^3; 1,1,0,1)") == standard_field(8)
-    with pytest.raises(ParseError):
-        parse_field("Z(8)")
+    for bad in ("Z(8)", "GF(2^x)", "GF(a)", "GF(4;1,x)"):
+        with pytest.raises(ParseError):
+            parse_field(bad)
     assert field_make(5) == standard_field(5)
