@@ -405,6 +405,15 @@ def systematic_column_order(n: int, M: int, pivot: int = 0):
 # --- code description files ----------------------------------------------
 
 
+def content_lines(text: str) -> list:
+    """Nonblank lines with ``#`` comments removed, inline ones included.
+
+    The comment rule of both file formats, code files and received words.
+    """
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
 def format_code_file(c: CodeSpec, comment: str = "") -> str:
     lines = []
     if comment:
@@ -423,11 +432,7 @@ def format_code_file(c: CodeSpec, comment: str = "") -> str:
 
 
 def parse_code_file(text: str) -> CodeSpec:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     pos = 0
 
     def take():

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .code import (CodeSpec, pm_memory, sliding_parity, window_generator,
-                   window_parity)
+from .code import (CodeSpec, content_lines, pm_memory, sliding_parity,
+                   window_generator, window_parity)
 from .distances import lm_params
 from .errors import (Ambiguous, BadParams, FieldMismatch, HorizonExceeded,
                      Infeasible, MissingMatrix, NoSolution, NotRateNMinus1,
@@ -489,8 +489,7 @@ def format_received_file(w: ReceivedWord, comment: str = "") -> str:
 
 
 def parse_received_file(text: str) -> ReceivedWord:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if len(lines) < 2:
         raise ParseError("received-word file needs a field and a header line")
     if not lines[0].startswith("field "):

@@ -209,17 +209,21 @@ def _check_superregular_refs():
 
 def _check_superregular_search():
     problems = []
-    F2, F4 = standard_field(2), standard_field(4)
-    hit = search_toeplitz(2, F2)
-    if hit is None or hit.col != (1, 1):
-        problems.append(f"2x2 over GF(2): got {hit and hit.col}")
+    F4 = standard_field(4)
+    # first lexicographic hits of the exhaustive search, None for no hit
+    golds = [(2, 2, (1, 1)), (5, 8, (1, 1, 2, 6, 3)),
+             (6, 16, (1, 1, 2, 3, 8, 1)), (6, 8, None)]
+    for l, q, want in golds:
+        hit = search_toeplitz(l, standard_field(q))
+        if (hit and hit.col) != want:
+            problems.append(f"{l}x{l} over GF({q}): got {hit and hit.col}")
     if search_toeplitz(3, F4) is None:
         problems.append("3x3 over GF(4): no lower triangular hit")
     if search_general_toeplitz(3, F4) is None:
         problems.append("3x3 over GF(4): no general hit")
     if search_general_toeplitz(4, F4) is not None:
         problems.append("4x4 over GF(4): unexpected general hit")
-    return problems, "4 searches"
+    return problems, f"{len(golds) + 3} searches"
 
 
 def _check_binomial():

@@ -10,6 +10,17 @@ is t_{i-j+1} for i >= j and 0 above the diagonal.  The field may be None, in
 which case the matrix lives over the integers (used for the binomial matrices
 whose proper minors are all positive).
 
+Minors are checked one shift class and one level at a time.  Shifting a
+proper pair by -(j_1 - 1) in rows and columns leaves a Toeplitz minor
+unchanged, so only the pairs with j_1 = 1 need a determinant: C(l+1) - C(l)
+of the C(l+1) - 1 proper pairs, C the Catalan numbers.  Level k holds the
+pairs with j_1 = 1 and i_r = k, the minors that t_k first enters; levels
+1..k together decide the k x k leading principal submatrix.  The exhaustive
+search grows a column depth first and checks only level k when it sets t_k.
+It only explores t_2 = 1: the 1 x 1 minor t_2 rules out t_2 = 0, and the
+diagonal similarity diag(a^i) T diag(a^-i) turns any superregular column
+with t_2 = 1/a into one with t_2 = 1 (see ``search_toeplitz``).
+
 Besides the direct minor test this module implements the whole battery of
 equivalent characterizations (weight of column combinations, span conditions,
 bounded-weight kernel vectors of [I | T]) so they can be cross-checked, the
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from . import linalg
@@ -68,29 +80,43 @@ def toeplitz(field, col) -> LowerToeplitz:
     return LowerToeplitz(field, col)
 
 
-def proper_pairs(l: int, r: int | None = None):
-    """Proper index pairs (rows | cols), 1-based, rows-major lexicographic."""
-    sizes = range(1, l + 1) if r is None else [r]
-    for size in sizes:
-        for rows in itertools.combinations(range(1, l + 1), size):
-            for cols in itertools.combinations(range(1, l + 1), size):
+@lru_cache(maxsize=None)
+def minor_level(k: int) -> tuple:
+    """Level k: the proper pairs with first column 1 and last row k.
+
+    These are the shift-class representatives of the minors that t_k first
+    enters.  Each pair is stored as its rows of entry offsets i - j, so the
+    minor of a column ``col`` is ``col[i - j]`` where i - j >= 0 and 0
+    elsewhere.  Smaller pairs come first: they are cheaper and fail sooner.
+    """
+    level, shared = [], {}
+    for size in range(1, k + 1):
+        for head in itertools.combinations(range(1, k), size - 1):
+            rows = head + (k,)
+            for tail in itertools.combinations(range(2, k + 1), size - 1):
+                cols = (1,) + tail
                 if all(j <= i for i, j in zip(rows, cols)):
-                    yield rows, cols
+                    # pairs share most offset rows; store each row once
+                    offsets = (tuple(i - j for j in cols) for i in rows)
+                    level.append(tuple(shared.setdefault(r, r) for r in offsets))
+    return tuple(level)
 
 
-def submatrix(T: LowerToeplitz, rows, cols):
-    return [[T.entry(i - 1, j - 1) for j in cols] for i in rows]
+def _minor(col, offsets):
+    return [[col[d] if d >= 0 else 0 for d in row] for row in offsets]
+
+
+def _level_ok(F: FiniteField, col) -> bool:
+    """Whether every minor of level len(col) is nonzero for this column."""
+    return all(linalg.mat_det(F, _minor(col, offsets))
+               for offsets in minor_level(len(col)))
 
 
 def is_superregular(T: LowerToeplitz) -> bool:
-    """All proper minors nonzero; probes small submatrices first."""
+    """All proper minors nonzero, checked level by level, one per shift class."""
     if T.field is None:
         raise BadParams("superregularity test needs a field")
-    F = T.field
-    for rows, cols in proper_pairs(T.size):
-        if linalg.mat_det(F, submatrix(T, rows, cols)) == 0:
-            return False
-    return True
+    return all(_level_ok(T.field, T.col[:k]) for k in range(1, T.size + 1))
 
 
 def inverse_superregular(T: LowerToeplitz) -> LowerToeplitz:
@@ -190,14 +216,17 @@ def binomial_toeplitz(n: int) -> LowerToeplitz:
     return LowerToeplitz(None, tuple(comb(n - 1, i) for i in range(n)))
 
 
+def _integer_minors(T: LowerToeplitz):
+    """Exact big-integer proper minors, one per shift class."""
+    return (linalg.det_bareiss(_minor(T.col, offsets))
+            for k in range(1, T.size + 1) for offsets in minor_level(k))
+
+
 def proper_minors_positive(T: LowerToeplitz) -> bool:
     """Exact big-integer check that every proper minor is positive."""
     if T.field is not None:
         raise BadParams("positivity is an integer matrix check")
-    for rows, cols in proper_pairs(T.size):
-        if linalg.det_bareiss(submatrix(T, rows, cols)) <= 0:
-            return False
-    return True
+    return all(m > 0 for m in _integer_minors(T))
 
 
 def banded_power(n: int, k: int):
@@ -239,11 +268,7 @@ def smallest_prime_superregular(n: int, prime_limit: int = 100000) -> int:
         raise BadParams("size must be at least 2")
     if n > 8:
         raise BudgetExceeded("minor enumeration beyond 8x8 not supported")
-    T = binomial_toeplitz(n)
-    minors = [
-        linalg.det_bareiss(submatrix(T, rows, cols))
-        for rows, cols in proper_pairs(n)
-    ]
+    minors = list(_integer_minors(binomial_toeplitz(n)))
     p = 2
     while p <= prime_limit:
         if all(m % p for m in minors):
@@ -268,9 +293,9 @@ def search_toeplitz(
     """Find a superregular l x l Toeplitz matrix over the field, or None.
 
     Columns are normalized to t_1 = 1 (scaling does not change
-    superregularity and a zero t_1 never is).  Exhaustive mode walks
-    (t_2, ..., t_l) in lexicographic order and returns the first hit;
-    seeded mode draws columns from the xorshift64* stream.
+    superregularity and a zero t_1 never is).  Exhaustive mode returns the
+    first hit of (t_2, ..., t_l) in lexicographic order; seeded mode draws
+    columns from the xorshift64* stream.
     """
     if l < 1:
         raise BadParams("size must be positive")
@@ -282,11 +307,26 @@ def search_toeplitz(
             raise BudgetExceeded(
                 f"exhaustive search needs {q ** (l - 1)} candidates, budget {budget}"
             )
-        for tail in itertools.product(range(q), repeat=l - 1):
-            T = LowerToeplitz(field, (1,) + tail)
-            if is_superregular(T):
-                return T
-        return None
+        # Depth first in lexicographic order: setting t_k checks level k, and
+        # a failed level prunes every column that extends the prefix.  Only
+        # t_2 = 1 is explored.  t_2 = 0 fails the 1 x 1 minor (2 | 1).  For
+        # t_2 != 0 and a = 1/t_2, D T D^-1 with D = diag(1, a, ..., a^(l-1))
+        # is lower Toeplitz with column a^(k-1) t_k, so t_1 = t_2 = 1, and
+        # its minor on (rows | cols) is that of T times a^(sum rows - sum
+        # cols), so it is superregular exactly when T is.  Hence if no column
+        # with t_2 = 1 is a hit, none is; and as every t_2 = 0 column fails,
+        # the first hit in product order has t_2 = 1.
+        col = [1]
+
+        def extend(values) -> bool:
+            for v in values:
+                col.append(v)
+                if _level_ok(field, col) and (len(col) == l or extend(range(q))):
+                    return True
+                col.pop()
+            return False
+
+        return LowerToeplitz(field, tuple(col)) if extend((1,)) else None
     if mode == "seeded":
         rng = XorShift64Star(0 if seed is None else seed)
         for _ in range(max_tries):

@@ -136,6 +136,19 @@ def test_decode_fixture_word(tmp_path, capsys):
     assert word.n == 2
 
 
+def test_decode_word_file_with_inline_comments(tmp_path, capsys):
+    word = tmp_path / "commented.word"
+    with open(f"{FIX}/received_2_1_2_q8.word", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    word.write_text("\n".join(f"{ln}  # inline" for ln in lines) + "\n",
+                    encoding="utf-8")
+    rc, out, err = run(capsys, "decode", "--code", f"{FIX}/smds_2_1_2_q8.code",
+                       "--received", str(word), "--format", "csv")
+    assert rc == 0 and not err
+    assert "status,success" in out
+    assert 'v0,"1,2,0,0,7,4"' in out
+
+
 def test_simulate_compliant_and_adversarial(capsys):
     rc, out, _ = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
                      "--trials", "3", "--seed", "2", "--format", "csv")

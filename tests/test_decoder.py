@@ -258,6 +258,16 @@ def test_received_file_round_trip():
         parse_received_file("field GF(2)\nwrong header\n")
 
 
+def test_received_file_inline_comments():
+    w = decode_walkthrough()["received"]
+    text = format_received_file(w, comment="sample word")
+    commented = "\n".join(f"{line}  # note {i}" if line else line
+                          for i, line in enumerate(text.splitlines()))
+    back = parse_received_file(commented)
+    assert back.symbols == w.symbols and back.field == w.field
+    assert parse_received_file(format_received_file(back)) == back
+
+
 def test_received_file_io(tmp_path):
     walk = decode_walkthrough()
     path = tmp_path / "w.word"

@@ -11,9 +11,10 @@ from convmds.superregular import (LowerToeplitz, all_minors_nonzero,
                                   binomial_toeplitz, check_equivalences,
                                   general_toeplitz, inverse_superregular,
                                   is_superregular, proper_minors_positive,
-                                  proper_pairs, search_general_toeplitz,
-                                  search_toeplitz, smallest_prime_superregular,
-                                  submatrix, theorem_a_check, toeplitz)
+                                  search_general_toeplitz, search_toeplitz,
+                                  smallest_prime_superregular, theorem_a_check,
+                                  toeplitz)
+from superregular_oracle import proper_pairs
 
 F2 = standard_field(2)
 F3 = standard_field(3)

@@ -1,0 +1,124 @@
+"""Level-by-level superregularity against the direct all-pairs oracle."""
+
+import random
+from math import comb
+
+import pytest
+
+from convmds.errors import BudgetExceeded
+from convmds.galois import standard_field
+from convmds.fixtures import reference_toeplitz
+from convmds.linalg import det_bareiss
+from convmds.superregular import (LowerToeplitz, binomial_toeplitz,
+                                  inverse_superregular, is_superregular,
+                                  minor_level, proper_minors_positive,
+                                  search_toeplitz, toeplitz)
+from superregular_oracle import (first_column, proper_pairs, seeded_column,
+                                 submatrix, superregular_column)
+
+SMALL_FIELDS = (2, 3, 4, 5, 7, 8, 16)
+# every (l, q) whose oracle search over product order runs in about 1 s or less
+ORACLE_SEARCHES = ([(l, q) for l in range(2, 6) for q in SMALL_FIELDS]
+                   + [(6, q) for q in (2, 3, 4, 5)] + [(7, q) for q in (2, 3, 4)])
+
+
+def catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def table(l):
+    return [pair for k in range(1, l + 1) for pair in minor_level(k)]
+
+
+def test_level_and_pair_counts():
+    sizes = [len(table(l)) for l in range(1, 9)]
+    assert sizes == [1, 3, 9, 28, 90, 297, 1001, 3432]
+    for l in range(1, 9):
+        assert sizes[l - 1] == catalan(l + 1) - catalan(l)
+        assert sum(1 for _ in proper_pairs(l)) == catalan(l + 1) - 1
+
+
+def test_levels_are_the_shift_classes():
+    # a pair's entry offsets i - j are invariant under shifting rows and
+    # columns together, and tell the shift classes apart
+    for l in range(1, 8):
+        classes = {tuple(tuple(i - j for j in cols) for i in rows)
+                   for rows, cols in proper_pairs(l)}
+        pairs = table(l)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == classes
+    for k in range(1, 9):
+        # entry (i_r, j_1) = (k, 1) is t_k, the largest index in the minor
+        assert all(p[-1][0] == k - 1 == max(map(max, p)) for p in minor_level(k))
+
+
+def test_check_matches_oracle_on_random_columns():
+    rng = random.Random(3)
+    fields = [standard_field(q) for q in SMALL_FIELDS]
+    outcomes = []
+    for trial in range(1200):
+        F = rng.choice(fields)
+        l = rng.randint(1, 6)
+        low = 1 if trial % 2 else 0  # every other column has no zero entry
+        col = (rng.randrange(1, F.q),) + tuple(
+            rng.randrange(low, F.q) for _ in range(l - 1))
+        got = is_superregular(toeplitz(F, col))
+        assert got == superregular_column(F, col), (F.q, col)
+        outcomes.append(got)
+    assert 100 <= sum(outcomes) <= 1100
+
+
+def test_check_matches_oracle_on_perturbed_references():
+    rng = random.Random(5)
+    for T in reference_toeplitz():
+        for M in (T, inverse_superregular(T)):
+            assert is_superregular(M) and superregular_column(M.field, M.col)
+            col = list(M.col)
+            k = rng.randrange(1, M.size) if M.size > 1 else 0
+            col[k] = rng.randrange(1, M.field.q)
+            got = is_superregular(LowerToeplitz(M.field, tuple(col)))
+            assert got == superregular_column(M.field, col), (M.field.q, col)
+
+
+@pytest.mark.parametrize("l,q", ORACLE_SEARCHES)
+def test_exhaustive_first_hit_matches_oracle(l, q):
+    F = standard_field(q)
+    hit = search_toeplitz(l, F)
+    assert (None if hit is None else hit.col) == first_column(F, l)
+
+
+@pytest.mark.parametrize("l,q", [(5, 8), (6, 16), (7, 32)])
+def test_seeded_hits_match_oracle(l, q):
+    F = standard_field(q)
+    for seed in range(5):
+        hit = search_toeplitz(l, F, mode="seeded", seed=seed)
+        assert hit.col == seeded_column(F, l, seed), seed
+
+
+def test_diagonal_similarity_sets_t2_to_one():
+    # the argument behind exploring only t_2 = 1 in the exhaustive search
+    for l, q, seed in ((5, 8, 0), (5, 8, 1), (6, 16, 0), (6, 16, 2)):
+        F = standard_field(q)
+        col = search_toeplitz(l, F, mode="seeded", seed=seed).col
+        a = F.inv(col[1])
+        scaled = tuple(F.mul(F.pow(a, k), t) for k, t in enumerate(col))
+        assert col[1] != 1 and scaled[:2] == (1, 1)
+        assert superregular_column(F, scaled)
+
+
+def test_known_misses_and_budget():
+    assert search_toeplitz(6, standard_field(8)) is None
+    assert search_toeplitz(5, standard_field(4)) is None
+    with pytest.raises(BudgetExceeded):
+        search_toeplitz(9, standard_field(32), budget=1000)
+
+
+def test_integer_positivity_matches_oracle():
+    rng = random.Random(11)
+    columns = [binomial_toeplitz(n).col for n in range(1, 7)]
+    columns += [tuple(rng.randint(-1, 6) for _ in range(rng.randint(1, 6)))
+                for _ in range(60)]
+    for col in columns:
+        want = all(det_bareiss(submatrix(col, rows, cols)) > 0
+                   for rows, cols in proper_pairs(len(col)))
+        assert proper_minors_positive(LowerToeplitz(None, col)) == want, col
