@@ -24,7 +24,7 @@ from .code import dual, format_code_file, load_code
 from .construct import construct_dual_mds, construct_strongly_mds
 from .decoder import (feedback_decode, load_received, make_error_pattern,
                       save_received, simulate, word_from_polys)
-from .distances import free_distance, lm_params, profile
+from .distances import DEFAULT_BUDGET, lm_params, profile
 from .errors import CodingError, NoSuperregularFound, ParseError
 from .galois import parse_field
 from .poly import format_poly
@@ -115,12 +115,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    c = load_code(args.code)
-    L, M = lm_params(c.n, c.k, c.delta)
-    horizon = args.horizon if args.horizon is not None else M
-    kw = {"budget": args.budget} if args.budget else {}
-    prof = profile(c, horizon=horizon, **kw)
-    sing = prof.singleton
+    prof = profile(load_code(args.code), args.horizon,
+                   args.budget or DEFAULT_BUDGET)
+    L, M, sing = prof.L, prof.M, prof.singleton
     rows = []
     for j, d in enumerate(prof.values):
         bound = min(prof.bound_at(j), sing)
@@ -144,17 +141,14 @@ def cmd_distances(args) -> int:
 
 def cmd_classify(args) -> int:
     c = load_code(args.code)
-    L, M = lm_params(c.n, c.k, c.delta)
-    horizon = args.horizon if args.horizon is not None else M
-    kw = {"budget": args.budget} if args.budget else {}
-    prof = profile(c, horizon=horizon, **kw)
-    fd = free_distance(c, horizon=horizon, **kw)
+    prof = profile(c, args.horizon, args.budget or DEFAULT_BUDGET)
+    fd = prof.free_distance
     mds = True if fd.status == "exact" else None
     rows = [
         ("field", c.field),
         ("code", f"n={c.n} k={c.k} delta={c.delta}"),
-        ("L", L),
-        ("M", M),
+        ("L", prof.L),
+        ("M", prof.M),
         ("singleton", prof.singleton),
         ("profile", ",".join(str(v) for v in prof.values)),
         ("strongly-MDS", _flag(prof.strongly_mds)),

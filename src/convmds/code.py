@@ -140,25 +140,32 @@ def full_size_minors(M: PolyMatrix):
     return out
 
 
-def is_basic(M: PolyMatrix) -> bool:
-    """True when the gcd of all maximal minors is 1 (after full-rank check)."""
+def _basic_degree(M: PolyMatrix) -> int | None:
+    """Degree of M when it is basic, None when not; one pass over the minors."""
+    minors = [minor for _, minor in full_size_minors(M)]
     g = ()
-    for _, minor in full_size_minors(M):
-        if minor == ():
-            continue
+    for minor in filter(None, minors):
         g = poly_gcd(M.field, g, minor) if g else minor
         if poly_deg(g) == 0:
-            return True
+            break
     if g == ():
         raise RankDeficient("matrix has rank below its row count")
-    return poly_deg(g) == 0
+    if poly_deg(g) != 0:
+        return None
+    return max(poly_deg(minor) for minor in minors)
+
+
+def is_basic(M: PolyMatrix) -> bool:
+    """True when the gcd of all maximal minors is 1 (after full-rank check)."""
+    return _basic_degree(M) is not None
 
 
 def code_degree(M: PolyMatrix) -> int:
     """Max degree over all maximal minors; callers require a basic matrix."""
-    if not is_basic(M):
+    d = _basic_degree(M)
+    if d is None:
         raise NotBasic("degree is only computed for basic matrices")
-    return max(poly_deg(minor) for _, minor in full_size_minors(M))
+    return d
 
 
 @dataclass(frozen=True)
@@ -193,9 +200,9 @@ def make_code(field, n, k, delta, gen=None, par=None) -> CodeSpec:
     for name, M in (("generator", gen), ("parity check", par)):
         if M is None:
             continue
-        if not is_basic(M):
+        d = _basic_degree(M)
+        if d is None:
             raise NotBasic(f"{name} matrix is not basic")
-        d = code_degree(M)
         if d != delta:
             raise BadParams(f"declared delta={delta} but {name} degree is {d}")
     return CodeSpec(field, n, k, delta, gen, par)
@@ -211,13 +218,8 @@ def dual(c: CodeSpec) -> CodeSpec:
 
 def _cofactor_row(M: PolyMatrix):
     """Signed maximal cofactors of an (n-1) x n matrix; orthogonal to it."""
-    F = M.field
-    out = []
-    for i in range(M.cols):
-        sub = [[row[j] for j in range(M.cols) if j != i] for row in M.entries]
-        d = pm_det(F, sub)
-        out.append(poly_neg(F, d) if i % 2 else d)
-    return out
+    minors = [d for _, d in reversed(full_size_minors(M))]  # i-th drops col i
+    return [poly_neg(M.field, d) if i % 2 else d for i, d in enumerate(minors)]
 
 
 def _pivot_rows(F: FiniteField, a):

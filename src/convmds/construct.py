@@ -25,7 +25,6 @@ The pipeline has three steps:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from . import linalg
@@ -56,7 +55,6 @@ from .superregular import (
 )
 
 DEFAULT_SEARCH_SEED = 1
-_SOLUTION_ENUM_LIMIT = 4096
 
 
 def required_tau(n: int, delta: int) -> int:
@@ -108,7 +106,11 @@ def solve_ab(S: SlidingMatrix, n: int, delta: int):
 
     When the defining linear system is underdetermined the solution with the
     smallest degree of a is returned, ties broken by the lexicographically
-    smallest coefficient tuple (a_1, ..., a_delta).
+    smallest coefficient tuple (a_1, ..., a_delta).  It is computed directly:
+    d is the least degree whose system with a_{>d} = 0 is consistent, then
+    a_1, ..., a_d are pinned in turn, to 0 when that stays consistent and to
+    the forced value otherwise.  This is exact because an affine solution
+    set projects onto one coordinate as a single point or the whole field.
     """
     F = S.field
     M = S.j
@@ -120,44 +122,34 @@ def solve_ab(S: SlidingMatrix, n: int, delta: int):
     if M == delta:
         a = (1,)
     else:
-        rows_h = M - delta  # block rows of the system, each width n-1
-        A = []  # (n-1)(M-delta) x delta, transposed system
-        rhs = []
-        for c in range(rows_h):
+        A, rhs = [], []  # (n-1)(M-delta) x delta, unknowns (a_delta, ..., a_1)
+        for c in range(M - delta):
             for w in range(width):
                 A.append([hrows[M - delta + r - c][w] for r in range(delta)])
                 rhs.append(F.neg(hrows[M - c][w]))
-        got = linalg.solve(F, A, rhs)
-        if got is None:
-            raise SystemInconsistent("window rows admit no matching denominator")
-        part, basis = got
-        best = None
-        if basis and F.q ** len(basis) <= _SOLUTION_ENUM_LIMIT:
-            for mults in itertools.product(range(F.q), repeat=len(basis)):
-                cand = list(part)
-                for m, vec in zip(mults, basis):
-                    if m:
-                        cand = [F.add(x, F.mul(m, y)) for x, y in zip(cand, vec)]
-                # cand holds (a_delta, ..., a_1)
-                coeffs = list(reversed(cand))
-                deg = max((i + 1 for i, v in enumerate(coeffs) if v), default=0)
-                key = (deg, tuple(coeffs))
-                if best is None or key < best[0]:
-                    best = (key, coeffs)
-            coeffs = best[1]
+
+        def solve_pinned(pins):
+            """Solutions with a_i = v for every (i, v) in pins."""
+            unit = [[1 if r == delta - i else 0 for r in range(delta)]
+                    for i in pins]
+            return linalg.solve(F, A + unit, rhs + list(pins.values()))
+
+        for d in range(delta + 1):  # d = delta pins nothing
+            pins = dict.fromkeys(range(d + 1, delta + 1), 0)
+            if solve_pinned(pins) is not None:
+                break
         else:
-            coeffs = list(reversed(part))
-        a = poly_norm([1] + coeffs)
-    hpolys = []
-    for w in range(width):
-        hpolys.append([hrows[t][w] for t in range(M + 1)])
-    bs = []
-    for w in range(width):
-        prod = poly_mul(F, poly_norm(hpolys[w]), a)
-        bs.append(poly_norm(prod[: delta + 1]))
-    for w in range(width):
-        if series_div(F, bs[w], a, M + 1) != hpolys[w]:
-            raise SystemInconsistent("series of b/a does not reproduce the window")
+            raise SystemInconsistent("window rows admit no matching denominator")
+        for i in range(1, d + 1):
+            pins[i] = 0
+            if solve_pinned(pins) is None:
+                del pins[i]
+                pins[i] = solve_pinned(pins)[0][delta - i]
+        a = poly_norm([1] + [pins[i] for i in range(1, delta + 1)])
+    hpolys = [[hrows[t][w] for t in range(M + 1)] for w in range(width)]
+    bs = [poly_norm(poly_mul(F, poly_norm(h), a)[: delta + 1]) for h in hpolys]
+    if any(series_div(F, b, a, M + 1) != h for b, h in zip(bs, hpolys)):
+        raise SystemInconsistent("series of b/a does not reproduce the window")
     return a, bs
 
 

@@ -256,6 +256,10 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
     With ``paranoid`` set, shortcut answers are cross-checked against the
     support search and any disagreement raises Ambiguous.
     """
+    if vhat.field != c.field:
+        raise FieldMismatch(f"received word over {vhat.field}, code over {c.field}")
+    if vhat.n != c.n:
+        raise ShapeMismatch(f"received word has n={vhat.n}, code has n={c.n}")
     F = c.field
     n = c.n
     parity = _parity_row(c)

@@ -14,6 +14,11 @@ Singleton bound, which every column distance obeys.  A search whose candidate
 count exceeds the budget (default 2^28) raises BudgetExceeded instead of
 silently grinding.
 
+``profile`` is the one loop over j.  Once d^c_j meets the Singleton bound
+every later value equals it, so the rest is filled in without a search (proof
+in ``profile``).  The free distance is read from the profile: exact at the
+first j that meets the bound, otherwise d^c_horizon as a lower bound.
+
 Classification: a code is strongly MDS when d^c_M meets the Singleton bound
 at M = floor(delta/k) + ceil(delta/(n-k)), and has a maximum distance profile
 (MDP) when d^c_L = (n-k)(L+1)+1 at L = floor(delta/k) + floor(delta/(n-k)).
@@ -112,13 +117,7 @@ def _dc_messages(c: CodeSpec, j: int, budget: int) -> int:
     nu = pm_memory(G)
     coeffs = [pm_coefficient(G, t) for t in range(nu + 1)]
     qk = q**k
-    msgs = []
-    for u in range(qk):
-        v, x = [], u
-        for _ in range(k):
-            v.append(x % q)
-            x //= q
-        msgs.append(v)
+    msgs = [[u // q**i % q for i in range(k)] for u in range(qk)]  # base-q digits
     tabs = []
     for t in range(nu + 1):
         tabs.append([tuple(linalg.vec_mat(F, m, coeffs[t])) for m in msgs])
@@ -180,6 +179,13 @@ def _dc_syndrome(c: CodeSpec, j: int, budget: int) -> int:
 
 
 @dataclass
+class FreeDistanceResult:
+    value: int
+    status: str  # exact | lower_bound
+    reached_at: int | None
+
+
+@dataclass
 class DistanceProfile:
     n: int
     k: int
@@ -208,47 +214,44 @@ class DistanceProfile:
             return None
         return self.values[self.L] == self.bound_at(self.L)
 
+    @property
+    def free_distance(self) -> FreeDistanceResult:
+        """Exact at the first j with d^c_j at the Singleton bound, since
+        d^c_j <= d_free <= bound; otherwise d^c_horizon is a lower bound."""
+        for j, d in enumerate(self.values):
+            if d == self.singleton:
+                return FreeDistanceResult(d, "exact", j)
+        return FreeDistanceResult(self.values[-1], "lower_bound", None)
+
 
 def profile(c: CodeSpec, horizon: int | None = None,
             budget: int = DEFAULT_BUDGET) -> DistanceProfile:
-    """Column distances d^c_0..d^c_horizon (horizon defaults to M)."""
+    """Column distances d^c_0..d^c_horizon (horizon defaults to M).
+
+    Saturation: d^c_j <= d^c_{j+1} (truncating a window to [0, j] keeps
+    u_0 != 0 and cannot add weight) and d^c_j <= d_free <= the Singleton
+    bound, so once d^c_j meets the bound all later values equal it.  It never
+    fires before M: for j < M, (n-k)(j+1)+1 is below the Singleton bound.
+    """
     L, M = lm_params(c.n, c.k, c.delta)
     if horizon is None:
         horizon = M
     if horizon < 0:
         raise BadParams("horizon must be nonnegative")
-    values = [column_distance(c, j, budget) for j in range(horizon + 1)]
-    return DistanceProfile(
-        c.n, c.k, c.delta, L, M, singleton_bound(c.n, c.k, c.delta), values
-    )
-
-
-@dataclass
-class FreeDistanceResult:
-    value: int
-    status: str  # exact | lower_bound
-    reached_at: int | None
-    values: list
+    sing = singleton_bound(c.n, c.k, c.delta)
+    values = []
+    for j in range(horizon + 1):
+        values.append(column_distance(c, j, budget))
+        if values[-1] == sing:
+            values += [sing] * (horizon - j)
+            break
+    return DistanceProfile(c.n, c.k, c.delta, L, M, sing, values)
 
 
 def free_distance(c: CodeSpec, horizon: int,
                   budget: int = DEFAULT_BUDGET) -> FreeDistanceResult:
-    """Free distance via the column distance limit.
-
-    Column distances increase to the free distance, which is at most the
-    Singleton bound; hitting the bound at some j certifies exactness.  If the
-    bound is not reached by the horizon the largest value is only a lower
-    bound for the free distance.
-    """
-    if horizon < 0:
-        raise BadParams("horizon must be nonnegative")
-    target = singleton_bound(c.n, c.k, c.delta)
-    values = []
-    for j in range(horizon + 1):
-        values.append(column_distance(c, j, budget))
-        if values[-1] == target:
-            return FreeDistanceResult(target, "exact", j, values)
-    return FreeDistanceResult(values[-1], "lower_bound", None, values)
+    """Free distance as read from ``profile(c, horizon, budget)``."""
+    return profile(c, horizon, budget).free_distance
 
 
 def is_strongly_mds(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:

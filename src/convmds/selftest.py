@@ -19,7 +19,7 @@ from .decoder import feedback_decode, make_error_pattern, simulate
 from .distances import (column_distance, free_distance, griesmer_feasible,
                         has_mdp_bruteforce, has_mdp_minors, lm_params,
                         profile, _message_space, _syndrome_space)
-from .errors import BudgetExceeded, CodingError
+from .errors import BadParams, BudgetExceeded, CodingError
 from .fixtures import (all_fixtures, decode_walkthrough, fixture,
                        reference_toeplitz)
 from .galois import standard_field
@@ -370,6 +370,10 @@ def check_names():
 
 def run_checks(names=None) -> list:
     wanted = set(names) if names else None
+    unknown = sorted((wanted or set()) - set(check_names()))
+    if unknown:
+        raise BadParams(f"unknown check {', '.join(unknown)}; "
+                        f"known: {', '.join(check_names())}")
     results = []
     for name, fn in CHECKS:
         if wanted is not None and name not in wanted:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from convmds import distances
 from convmds.cli import main
 from convmds.code import load_code
 from convmds.decoder import load_received
@@ -39,6 +40,33 @@ def test_classify_mds_only_needs_longer_horizon(capsys):
     assert "strongly-MDS,false" in out
     assert "MDS,true" in out
     assert "free-distance,6 (exact)" in out
+
+
+@pytest.mark.parametrize("name, horizon, searched, profile", [
+    ("smds_3_1_1_q4", None, [0, 1, 2], "3,5,6"),
+    ("smds_2_1_2_q8", None, [0, 1, 2, 3, 4], "2,3,4,5,6"),
+    ("smds_3_1_1_q4", "5", [0, 1, 2], "3,5,6,6,6,6"),
+    ("mds_2_1_2_q11", "7", [0, 1, 2, 3, 4, 5], "2,3,4,5,5,6,6,6"),
+], ids=["q4", "q8", "q4-past-M", "q11-past-M"])
+def test_classify_searches_each_column_distance_once(capsys, monkeypatch, name,
+                                                     horizon, searched,
+                                                     profile):
+    # one profile pass: j = 0..M once each, none past the Singleton bound
+    seen = []
+    real = distances.column_distance
+
+    def counted(c, j, *args, **kwargs):
+        seen.append(j)
+        return real(c, j, *args, **kwargs)
+
+    monkeypatch.setattr(distances, "column_distance", counted)
+    argv = ["classify", "--code", f"{FIX}/{name}.code", "--format", "csv"]
+    if horizon is not None:
+        argv += ["--horizon", horizon]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert seen == searched
+    assert f'profile,"{profile}"' in out
 
 
 def test_distances_table(capsys):
@@ -149,6 +177,26 @@ def test_decode_word_file_with_inline_comments(tmp_path, capsys):
     assert 'v0,"1,2,0,0,7,4"' in out
 
 
+@pytest.mark.parametrize("code, word, error", [
+    ("smds_2_1_3_q32", "received_2_1_2_q8.word", "FIELD_MISMATCH"),
+    ("smds_3_2_2_q16", "field GF(2^4; 1,1,0,0,1)\nreceived n=2 length=8\n"
+                       "1,2\n3\n", "SHAPE_MISMATCH"),
+    ("smds_2_1_2_q8", "field GF(2^3; 1,1,0,1)\nreceived n=3 length=8\n"
+                      "1,2\n3\n4\n", "SHAPE_MISMATCH"),
+], ids=["field", "n-too-small", "n-too-large"])
+def test_decode_rejects_a_word_that_does_not_fit_the_code(tmp_path, capsys,
+                                                          code, word, error):
+    path = f"{FIX}/{word}"
+    if "\n" in word:
+        path = tmp_path / "bad.word"
+        path.write_text(word)
+    rc, out, err = run(capsys, "decode", "--code", f"{FIX}/{code}.code",
+                       "--received", str(path))
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error[{error}]")
+
+
 def test_simulate_compliant_and_adversarial(capsys):
     rc, out, _ = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
                      "--trials", "3", "--seed", "2", "--format", "csv")
@@ -177,6 +225,14 @@ def test_selftest_subset(capsys):
     assert "laurent,PASS" in out
     assert "griesmer,PASS" in out
     assert "2/2 checks passed" in out
+
+
+def test_selftest_rejects_unknown_check_names(capsys):
+    rc, out, err = run(capsys, "selftest", "--only", "laurent,nope")
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[BAD_PARAMS]")
+    assert "nope" in lines[0] and "griesmer" in lines[0]
 
 
 def test_domain_error_single_line(capsys):

@@ -1,7 +1,10 @@
 """Code descriptions, sliding matrices, and the code file format."""
 
+from pathlib import Path
+
 import pytest
 
+from convmds import code
 from convmds.code import (code_degree, derive_generator, derive_parity, dual,
                           format_code_file, full_size_minors, is_basic,
                           laurent_table, make_code, parse_code_file,
@@ -79,6 +82,23 @@ def test_fixture_matrices_are_basic_with_declared_degree():
                 continue
             assert is_basic(M), name
             assert code_degree(M) == fx.code.delta, name
+
+
+def test_make_code_lists_each_matrix_minors_once(monkeypatch):
+    seen = []
+    real = code.full_size_minors
+
+    def counted(M):
+        seen.append(M)
+        return real(M)
+
+    monkeypatch.setattr(code, "full_size_minors", counted)
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    matrices = 0
+    for path in sorted(fixtures.glob("*.code")):
+        c = code.load_code(path)
+        matrices += (c.gen is not None) + (c.par is not None)
+    assert len(seen) == matrices == 20
 
 
 def test_make_code_errors():

@@ -1,9 +1,12 @@
 """Construction pipeline from a superregular matrix to a certified code."""
 
+import random
+
 import pytest
 
-from convmds.code import (derive_parity, laurent_table, pm_is_zero, pm_mul,
-                          pm_transpose)
+from construct_oracle import canonical_a
+from convmds.code import (SlidingMatrix, derive_parity, laurent_table,
+                          pm_is_zero, pm_mul, pm_transpose)
 from convmds.construct import (build_hhat, column_property_holds,
                                construct_dual_mds, construct_strongly_mds,
                                required_tau, solve_ab)
@@ -13,7 +16,7 @@ from convmds.errors import (BadParams, DivisibilityViolated,
                             ShapeMismatch)
 from convmds.fixtures import fixture, reference_toeplitz
 from convmds.galois import standard_field
-from convmds.poly import poly_coef
+from convmds.poly import poly_coef, poly_norm, series_div
 from convmds.superregular import toeplitz
 
 F4 = standard_field(4)
@@ -66,6 +69,43 @@ def test_solve_ab_reproduces_window_series():
             block = S.data[t][M + 1 + b * width: M + 1 + (b + 1) * width]
             want = rows[t - b] if t >= b else [0] * width
             assert block == want, (t, b)
+
+
+def synthetic_window(F, n, delta, a, bs):
+    """Systematic window whose Laurent rows are the series b_w/a through D^M."""
+    _, M = lm_params(n, n - 1, delta)
+    h = [series_div(F, b, a, M + 1) for b in bs]
+    data = [[1 if s == t else 0 for s in range(M + 1)]
+            + [h[w][t] for w in range(n - 1)] for t in range(M + 1)]
+    return SlidingMatrix(F, "systematic", M, 1, n, data)
+
+
+@pytest.mark.parametrize("n, delta", [(3, 3), (4, 4), (3, 5), (4, 5)])
+@pytest.mark.parametrize("q", [4, 8])
+def test_solve_ab_picks_the_enumerated_canonical_solution(q, n, delta):
+    # underdetermined windows: (n-1)(M-delta) equations in delta unknowns;
+    # a low-degree a and short b widen the solution set further
+    F = standard_field(q)
+    rng = random.Random(q * 100 + n * 10 + delta)
+    for _ in range(25):
+        da, db = rng.randrange(delta + 1), rng.randrange(delta + 1)
+        a = (1,) + tuple(rng.randrange(q) for _ in range(da))
+        bs = [tuple(rng.randrange(q) for _ in range(db + 1))
+              for _ in range(n - 1)]
+        S = synthetic_window(F, n, delta, a, bs)
+        got_a, got_bs = solve_ab(S, n, delta)
+        assert got_a == poly_norm([1] + canonical_a(S, n, delta))
+        assert all(len(b) <= delta + 1 for b in got_bs)
+
+
+def test_solve_ab_canonical_beyond_the_old_enumeration_limit():
+    # h = 1/(1 + 3D) over GF(16) with delta = 5: every a = (1 + 3D) m with
+    # deg m <= 4 and m(0) = 1 solves the window system, a 16^4 solution set;
+    # the least-degree choice is 1 + 3D itself
+    F = standard_field(16)
+    S = synthetic_window(F, 2, 5, (1, 3), [(1,)])
+    a, bs = solve_ab(S, 2, 5)
+    assert a == (1, 3) and bs == [(1,)]
 
 
 def test_pipeline_matches_fixture_parities():

@@ -192,6 +192,19 @@ def test_feedback_decode_needs_room():
         feedback_decode(short, c)
 
 
+def test_feedback_decode_rejects_a_word_that_does_not_fit_the_code():
+    walk = decode_walkthrough()
+    word = walk["received"]  # GF(8), n = 2
+    with pytest.raises(FieldMismatch):
+        feedback_decode(word, fixture("smds_2_1_3_q32").code)
+    c3 = fixture("smds_3_2_2_q16").code
+    with pytest.raises(ShapeMismatch):
+        feedback_decode(make_received(c3.field, [(1, 2)] * 8), c3)
+    with pytest.raises(ShapeMismatch):
+        feedback_decode(make_received(F8, [(1, 2, 3)] * 8),
+                        fixture(walk["code"]).code)
+
+
 def test_error_pattern_compliant_windows():
     c = fixture("smds_2_1_2_q8").code
     _, M = lm_params(c.n, c.k, c.delta)

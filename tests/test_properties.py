@@ -1,0 +1,127 @@
+"""Property tests: the error contract and the saturating profile.
+
+Every run is derandomized, so a failure reproduces on the next run.
+"""
+
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convmds.code import parse_code_file
+from convmds.decoder import feedback_decode, make_received, parse_received_file
+from convmds.distances import column_distance, lm_params, profile
+from convmds.errors import CodingError
+from convmds.fixtures import fixture
+from convmds.galois import parse_field, standard_field
+
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
+SAMPLES = [FIX / "smds_3_2_2_q16.code", FIX / "smds_2_1_2_q8.code",
+           FIX / "received_2_1_2_q8.word"]
+TOKENS = "0123456789,;^=()# -GHFfieldcodenkdeltareceivedlength"
+
+
+def contract(fn, *args):
+    """Call fn; a domain failure must be a CodingError, nothing else."""
+    try:
+        fn(*args)
+    except CodingError:
+        pass
+
+
+@st.composite
+def mutated_files(draw):
+    """A bundled file with a few of its lines replaced, dropped or doubled."""
+    lines = draw(st.sampled_from(SAMPLES)).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("replace", "drop", "double")))
+        if edit == "replace":
+            lines[i] = draw(st.text(TOKENS, max_size=16))
+        elif edit == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def field_texts(draw):
+    small = st.integers(-2, 40)
+    head = str(draw(small))
+    if draw(st.booleans()):
+        head += f"^{draw(small)}"
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(small, max_size=10))
+        head += ";" + ",".join(map(str, coeffs))
+    return f"GF({head})"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.text(), mutated_files()))
+def test_file_parsers_raise_only_coding_errors(text):
+    contract(parse_code_file, text)
+    contract(parse_received_file, text)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.text(), field_texts()))
+def test_parse_field_raises_only_coding_errors(text):
+    contract(parse_field, text)
+
+
+DECODE_CODES = ["smds_2_1_2_q8", "smds_3_2_2_q16", "smds_4_3_1_q16",
+                "smds_2_1_3_q32", "smds_3_1_1_q4"]
+FIELDS = [standard_field(q) for q in (2, 4, 8, 11, 16, 32)]
+
+
+@st.composite
+def code_and_word(draw):
+    """A decodable-looking code and a random word, often of its own shape."""
+    c = fixture(draw(st.sampled_from(DECODE_CODES))).code
+    if draw(st.booleans()):
+        F, n = c.field, c.n
+    else:
+        F, n = draw(st.sampled_from(FIELDS)), draw(st.integers(1, 4))
+    symbol = st.integers(0, F.q - 1)
+    rows = draw(st.lists(st.lists(symbol, min_size=n, max_size=n),
+                         min_size=1, max_size=12))
+    return c, make_received(F, rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(code_and_word())
+def test_feedback_decode_raises_only_coding_errors(pair):
+    c, word = pair
+    contract(feedback_decode, word, c)
+
+
+SMALL_CODES = ["mds_2_1_2_q11", "smds_2_1_2_q8", "smds_3_1_1_q4",
+               "smds_3_2_2_q16", "smds_4_3_1_q16", "smds_7_1_1_q8"]
+
+
+@st.composite
+def code_and_horizon(draw):
+    c = fixture(draw(st.sampled_from(SMALL_CODES))).code
+    _, M = lm_params(c.n, c.k, c.delta)
+    return c, draw(st.integers(0, M + 2))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(code_and_horizon())
+def test_saturating_profile_matches_per_j_oracle(pair):
+    c, horizon = pair
+    oracle = [column_distance(c, j) for j in range(horizon + 1)]
+    prof = profile(c, horizon)
+    assert prof.values == oracle
+    first = next((j for j, d in enumerate(oracle) if d == prof.singleton),
+                 None)
+    fd = prof.free_distance
+    assert fd.reached_at == first
+    if first is None:
+        assert (fd.value, fd.status) == (oracle[-1], "lower_bound")
+    else:
+        assert (fd.value, fd.status) == (prof.singleton, "exact")
+        assert first >= prof.M
