@@ -25,7 +25,7 @@ from .construct import construct_dual_mds, construct_strongly_mds
 from .decoder import (feedback_decode, load_received, make_error_pattern,
                       save_received, simulate, word_from_polys)
 from .distances import DEFAULT_BUDGET, lm_params, profile
-from .errors import CodingError, NoSuperregularFound, ParseError
+from .errors import BadParams, CodingError, NoSuperregularFound, ParseError
 from .galois import parse_field
 from .poly import format_poly
 from .rng import XorShift64Star
@@ -223,6 +223,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        raise BadParams(f"--trials must be at least 0, got {args.trials}")
     c = load_code(args.code)
     _, M = lm_params(c.n, c.k, c.delta)
     t = (M + 1) // 2

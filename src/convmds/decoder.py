@@ -28,6 +28,12 @@ from .poly import (format_poly, parse_poly, poly_add, poly_coef, poly_deg,
 from .rng import XorShift64Star
 
 DEFAULT_SOLVE_BUDGET = 1 << 20
+MAX_LENGTH = 1 << 16  # blocks in a received word or an error pattern
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_LENGTH:
+        raise BadParams(f"length {length} above the supported {MAX_LENGTH} blocks")
 
 
 # --- received words -------------------------------------------------------
@@ -78,6 +84,7 @@ def word_from_polys(field: FiniteField, polys, length: int | None = None) -> Rec
         length = need
     if length < need:
         raise BadParams(f"length {length} clips a degree-{need - 1} coordinate")
+    _check_length(length)
     rows = [tuple(poly_coef(p, t) for p in ps) for t in range(length)]
     return make_received(field, rows)
 
@@ -225,7 +232,6 @@ class DecodeReport:
     status: str
     failures: tuple = ()
     matched: bool | None = None
-    window_weights: tuple | None = None
     constraint_ok: bool | None = None
 
     @property
@@ -338,26 +344,12 @@ class ErrorPattern:
         return sum(1 for row in self.symbols for x in row if x)
 
     def window_weights(self):
-        L = len(self.symbols)
-        out = []
-        for j in range(L):
-            out.append(sum(1 for tt in range(j, min(j + self.M + 1, L))
-                           for x in self.symbols[tt] if x))
-        return tuple(out)
+        counts = [sum(1 for x in row if x) for row in self.symbols]
+        return tuple(sum(counts[j:j + self.M + 1]) for j in range(len(counts)))
 
     @property
     def constraint_ok(self) -> bool:
         return all(w <= self.t for w in self.window_weights())
-
-
-def _window_weight_at(grid, pos: int, M: int, t: int) -> bool:
-    """Whether every window that covers time ``pos`` still respects the cap."""
-    L = len(grid)
-    for j in range(max(0, pos - M), pos + 1):
-        w = sum(1 for tt in range(j, min(j + M + 1, L)) for x in grid[tt] if x)
-        if w > t:
-            return False
-    return True
 
 
 def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
@@ -369,15 +361,17 @@ def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
     only while every window of M+1 blocks stays within the weight cap t.
     Adversarial mode plants t+1 errors inside one window on purpose.  When
     ``errors`` is given, exactly that many placements are required.
+    Sampling stops early once every zero slot lies under a window holding t
+    errors: windows never lose errors, so no later try could be accepted.
     """
     if length < 1 or n < 1 or M < 0 or t < 0:
         raise BadParams("pattern needs length, n >= 1 and M, t >= 0")
+    _check_length(length)
     rng = XorShift64Star(seed)
     grid = [[0] * n for _ in range(length)]
-    q = field.q
 
     def nonzero():
-        return 1 + rng.below(q - 1)
+        return 1 + rng.below(field.q - 1)
 
     if adversarial:
         start = rng.below(max(1, length - M))
@@ -395,20 +389,29 @@ def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
     if errors is not None and t == 0 and errors > 0:
         raise Infeasible("cap t=0 admits no errors at all")
     target = errors if errors is not None else t * ((length + M) // (M + 1))
+    win = [0] * length  # errors in blocks j..j+M, clipped at the end
+    closed = [False] * length  # some window over the block holds t errors
+    open_slots = length * n
     placed = 0
-    tries = 0
-    limit = 400 * max(1, target)
-    while placed < target and tries < limit:
-        tries += 1
+    for _ in range(400 * max(1, target)):
+        if placed >= target or not open_slots:
+            break
         pos = rng.below(length)
         coord = rng.below(n)
         if grid[pos][coord]:
             continue
-        grid[pos][coord] = nonzero()
-        if _window_weight_at(grid, pos, M, t):
-            placed += 1
-        else:
-            grid[pos][coord] = 0
+        value = nonzero()
+        if closed[pos]:
+            continue
+        grid[pos][coord] = value
+        placed += 1
+        open_slots -= 1
+        for j in range(max(0, pos - M), pos + 1):
+            win[j] += 1
+            if win[j] == t:
+                for b in range(j, min(j + M + 1, length)):
+                    open_slots -= 0 if closed[b] else grid[b].count(0)
+                    closed[b] = True
     if errors is not None and placed < errors:
         raise Infeasible(
             f"placed only {placed} of {errors} errors under the window cap {t}")
@@ -444,8 +447,8 @@ def simulate(c: CodeSpec, message, error: ErrorPattern, horizon: int,
     """Encode, distort, decode and compare.
 
     The report's ``matched`` flag records whether the decoder recovered the
-    sent codeword on the guaranteed region 0..horizon-M; ``window_weights``
-    and ``constraint_ok`` describe the injected error.
+    sent codeword on the guaranteed region 0..horizon-M; ``constraint_ok``
+    records whether the injected error kept its window cap.
     """
     F = c.field
     G = window_generator(c)
@@ -455,12 +458,11 @@ def simulate(c: CodeSpec, message, error: ErrorPattern, horizon: int,
     mdeg = max([poly_deg(tuple(u)) for u in message] + [-1])
     if mdeg + pm_memory(G) > horizon - M:
         raise BadParams("message reaches into the undecoded tail")
-    length = horizon + 1
-    if len(error.symbols) > length:
+    if len(error.symbols) > horizon + 1:
         raise BadParams("error pattern outruns the horizon")
     if error.n != c.n:
         raise ShapeMismatch("error pattern and code disagree on n")
-    sent = encode_word(c, message, length)
+    sent = encode_word(c, message, horizon + 1)
     mixed = [list(row) for row in sent.symbols]
     for tpos, row in enumerate(error.symbols):
         for i, e in enumerate(row):
@@ -470,10 +472,6 @@ def simulate(c: CodeSpec, message, error: ErrorPattern, horizon: int,
     report = feedback_decode(received, c, paranoid, budget)
     core = report.core_end
     report.matched = report.decoded[:core + 1] == sent.symbols[:core + 1]
-    padded = ErrorPattern(F, tuple(tuple(r) for r in error.symbols)
-                          + tuple(tuple([0] * c.n) for _ in range(length - len(error.symbols))),
-                          error.M, error.t)
-    report.window_weights = padded.window_weights()
     report.constraint_ok = error.constraint_ok
     return report
 

@@ -60,10 +60,12 @@ class FiniteField:
     """Arithmetic context for GF(p^m) with a fixed irreducible modulus."""
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if m < 1 or m > MAX_EXT_DEGREE:
             raise BadParams(f"extension degree {m} outside 1..{MAX_EXT_DEGREE}")
+        if p**m > 1 << 20:
+            raise BadParams(f"field size {p**m} above supported 2^20")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         if modulus is None:
             if m == 1:
                 modulus = (0, 1)
@@ -80,8 +82,6 @@ class FiniteField:
         self.m = m
         self.q = p**m
         self.modulus = modulus
-        if self.q > 1 << 20:
-            raise BadParams(f"field size {self.q} above supported 2^20")
         if m > 1:
             _check_irreducible(p, modulus)
         self._xred = self._reduction_rows()
@@ -304,7 +304,7 @@ def field_make(p: int, m: int = 1, modulus=None) -> FiniteField:
 
 def standard_field(q: int) -> FiniteField:
     """Field of size q using the built-in modulus table (or a prime field)."""
-    if is_prime(q):
+    if q <= 1 << 20 and is_prime(q):
         return FiniteField(q)
     for (p, m), mod in MODULUS_TABLE.items():
         if p**m == q:

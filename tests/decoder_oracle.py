@@ -1,0 +1,76 @@
+"""Reference error channel, kept as a test oracle.
+
+This is the direct form the package's window-count sampler replaces: each
+try rescans every window that covers its block, and the loop runs until the
+target or the try limit even after no slot is left that could be accepted.
+"""
+
+from convmds.decoder import ErrorPattern
+from convmds.errors import BadParams, Infeasible
+from convmds.galois import FiniteField
+from convmds.rng import XorShift64Star
+
+
+def _window_weight_at(grid, pos: int, M: int, t: int) -> bool:
+    """Whether every window that covers time ``pos`` still respects the cap."""
+    L = len(grid)
+    for j in range(max(0, pos - M), pos + 1):
+        w = sum(1 for tt in range(j, min(j + M + 1, L)) for x in grid[tt] if x)
+        if w > t:
+            return False
+    return True
+
+
+def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
+                       seed: int, adversarial: bool = False,
+                       errors: int | None = None) -> ErrorPattern:
+    """Seeded error sequence for the sliding-window channel.
+
+    Compliant mode rejection-samples nonzero symbols, keeping a placement
+    only while every window of M+1 blocks stays within the weight cap t.
+    Adversarial mode plants t+1 errors inside one window on purpose.  When
+    ``errors`` is given, exactly that many placements are required.
+    """
+    if length < 1 or n < 1 or M < 0 or t < 0:
+        raise BadParams("pattern needs length, n >= 1 and M, t >= 0")
+    rng = XorShift64Star(seed)
+    grid = [[0] * n for _ in range(length)]
+    q = field.q
+
+    def nonzero():
+        return 1 + rng.below(q - 1)
+
+    if adversarial:
+        start = rng.below(max(1, length - M))
+        span = min(M + 1, length - start)
+        slots = [(start + dt, i) for dt in range(span) for i in range(n)]
+        if len(slots) < t + 1:
+            raise Infeasible(
+                f"window from {start} has only {len(slots)} slots, need {t + 1}")
+        remaining = list(slots)
+        for _ in range(t + 1):
+            pos, coord = remaining.pop(rng.below(len(remaining)))
+            grid[pos][coord] = nonzero()
+        return ErrorPattern(field, tuple(tuple(r) for r in grid), M, t)
+
+    if errors is not None and t == 0 and errors > 0:
+        raise Infeasible("cap t=0 admits no errors at all")
+    target = errors if errors is not None else t * ((length + M) // (M + 1))
+    placed = 0
+    tries = 0
+    limit = 400 * max(1, target)
+    while placed < target and tries < limit:
+        tries += 1
+        pos = rng.below(length)
+        coord = rng.below(n)
+        if grid[pos][coord]:
+            continue
+        grid[pos][coord] = nonzero()
+        if _window_weight_at(grid, pos, M, t):
+            placed += 1
+        else:
+            grid[pos][coord] = 0
+    if errors is not None and placed < errors:
+        raise Infeasible(
+            f"placed only {placed} of {errors} errors under the window cap {t}")
+    return ErrorPattern(field, tuple(tuple(r) for r in grid), M, t)

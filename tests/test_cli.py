@@ -210,6 +210,14 @@ def test_simulate_compliant_and_adversarial(capsys):
     assert "flagged,3/3" in out
 
 
+def test_simulate_rejects_negative_trials(capsys):
+    rc, out, err = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
+                       "--trials", "-3")
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[BAD_PARAMS]")
+
+
 def test_dual_stdout(capsys):
     rc, out, _ = run(capsys, "dual", "--code", f"{FIX}/smds_3_1_2_q16.code")
     assert rc == 0

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from convmds.decoder import (encode_word, feedback_decode,
+from convmds.decoder import (MAX_LENGTH, encode_word, feedback_decode,
                              format_received_file, load_received,
                              make_error_pattern, make_received,
                              parse_received_file, save_received, simulate,
@@ -235,6 +235,8 @@ def test_error_pattern_exact_count_and_infeasible():
         make_error_pattern(F8, 10, 2, 4, 0, seed=1, errors=1)
     with pytest.raises(BadParams):
         make_error_pattern(F8, 0, 2, 4, 2, seed=1)
+    with pytest.raises(BadParams):
+        make_error_pattern(F8, 1 << 20, 2, 4, 2, seed=0)
 
 
 def test_error_pattern_adversarial():
@@ -269,6 +271,15 @@ def test_received_file_round_trip():
         parse_received_file("received n=2 length=4\n1\n1\n")
     with pytest.raises(ParseError):
         parse_received_file("field GF(2)\nwrong header\n")
+    with pytest.raises(BadParams):
+        parse_received_file("field GF(2)\nreceived n=2 length=2000000\n1\n1\n")
+
+
+def test_word_length_bound():
+    F2 = standard_field(2)
+    assert word_from_polys(F2, [(1,)], MAX_LENGTH).horizon == MAX_LENGTH - 1
+    with pytest.raises(BadParams):
+        word_from_polys(F2, [(1,)], MAX_LENGTH + 1)
 
 
 def test_received_file_inline_comments():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from convmds import galois
 from convmds.errors import (BadLength, BadParams, DivisionByZero, NotPrime,
                             ParseError, ReducibleModulus)
 from convmds.galois import (FiniteField, field_make, is_prime, parse_field,
@@ -103,6 +104,17 @@ def test_bad_constructions():
         FiniteField(2, 3, (1, 1, 1))
     with pytest.raises(BadParams):
         standard_field(1024 * 1024 * 4)
+
+
+def test_large_fields_are_rejected_before_the_prime_test(monkeypatch):
+    tested = []
+    monkeypatch.setattr(galois, "is_prime", lambda p: tested.append(p) or True)
+    big = 2**61 - 1
+    with pytest.raises(BadParams):
+        parse_field(f"GF({big})")
+    with pytest.raises(BadParams):
+        standard_field(big)
+    assert tested == []
 
 
 def test_digits_round_trip():
