@@ -22,13 +22,12 @@ import sys
 from . import selftest as selftest_mod
 from .code import dual, format_code_file, load_code
 from .construct import construct_dual_mds, construct_strongly_mds
-from .decoder import (feedback_decode, load_received, make_error_pattern,
+from .decoder import (channel_trials, feedback_decode, load_received,
                       save_received, simulate, word_from_polys)
 from .distances import DEFAULT_BUDGET, lm_params, profile
 from .errors import BadParams, CodingError, NoSuperregularFound, ParseError
 from .galois import parse_field
 from .poly import format_poly
-from .rng import XorShift64Star
 from .superregular import (is_superregular, search_general_toeplitz,
                            search_toeplitz, toeplitz)
 
@@ -230,16 +229,11 @@ def cmd_simulate(args) -> int:
     t = (M + 1) // 2
     horizon = args.horizon if args.horizon is not None else 12 + 2 * M
     kw = {"budget": args.budget} if args.budget else {}
-    seed = args.seed or 0
-    rng = XorShift64Star(97 + seed)
     rows = []
     recovered = flagged = 0
-    for trial in range(args.trials):
-        msg = [tuple(rng.below(c.field.q) for _ in range(5))
-               for _ in range(c.k)]
-        err = make_error_pattern(c.field, horizon + 1, c.n, M, t,
-                                 seed=seed + trial,
-                                 adversarial=args.adversarial)
+    trials = channel_trials(c, args.trials, args.seed or 0, horizon,
+                            args.adversarial)
+    for trial, (msg, err) in enumerate(trials):
         rep = simulate(c, msg, err, horizon, paranoid=args.paranoid, **kw)
         ok = rep.ok and rep.matched
         recovered += bool(ok)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import (
     A1NotUnit,
     BadParams,
@@ -140,8 +139,9 @@ def full_size_minors(M: PolyMatrix):
     return out
 
 
-def _basic_degree(M: PolyMatrix) -> int | None:
-    """Degree of M when it is basic, None when not; one pass over the minors."""
+def basic_degree(M: PolyMatrix) -> int | None:
+    """Largest degree of a maximal minor when their gcd is 1 (M is basic),
+    else None; raises RankDeficient when every maximal minor is zero."""
     minors = [minor for _, minor in full_size_minors(M)]
     g = ()
     for minor in filter(None, minors):
@@ -153,19 +153,6 @@ def _basic_degree(M: PolyMatrix) -> int | None:
     if poly_deg(g) != 0:
         return None
     return max(poly_deg(minor) for minor in minors)
-
-
-def is_basic(M: PolyMatrix) -> bool:
-    """True when the gcd of all maximal minors is 1 (after full-rank check)."""
-    return _basic_degree(M) is not None
-
-
-def code_degree(M: PolyMatrix) -> int:
-    """Max degree over all maximal minors; callers require a basic matrix."""
-    d = _basic_degree(M)
-    if d is None:
-        raise NotBasic("degree is only computed for basic matrices")
-    return d
 
 
 @dataclass(frozen=True)
@@ -200,7 +187,7 @@ def make_code(field, n, k, delta, gen=None, par=None) -> CodeSpec:
     for name, M in (("generator", gen), ("parity check", par)):
         if M is None:
             continue
-        d = _basic_degree(M)
+        d = basic_degree(M)
         if d is None:
             raise NotBasic(f"{name} matrix is not basic")
         if d != delta:
@@ -239,44 +226,27 @@ def _pivot_rows(F: FiniteField, a):
     return rows
 
 
-def derive_parity(c: CodeSpec) -> PolyMatrix:
-    """A parity check usable for window computations (k = 1 or n-1 only)."""
-    if c.gen is None:
-        raise MissingMatrix("no generator to derive a parity check from")
-    F = c.field
-    if c.k == c.n - 1:
-        return pm_make(F, [_cofactor_row(c.gen)])
-    if c.k == 1:
-        return pm_make(F, _pivot_rows(F, list(c.gen.entries[0])))
-    raise MissingMatrix(f"cannot derive a parity check for k={c.k}, n={c.n}")
+def derived_complement(M: PolyMatrix) -> PolyMatrix | None:
+    """Rows spanning the orthogonal complement of M's rows (rationally).
 
-
-def derive_generator(c: CodeSpec) -> PolyMatrix:
-    """A generator usable for window computations (k = 1 or n-1 only)."""
-    if c.par is None:
-        raise MissingMatrix("no parity check to derive a generator from")
-    F = c.field
-    if c.k == 1:
-        return pm_make(F, [_cofactor_row(c.par)])
-    if c.k == c.n - 1:
-        return pm_make(F, _pivot_rows(F, list(c.par.entries[0])))
-    raise MissingMatrix(f"cannot derive a generator for k={c.k}, n={c.n}")
+    The cofactor row when M is (n-1) x n, the pivot rows when M is one row,
+    None otherwise.  At n = 2 both apply and the cofactor row is taken.
+    Window computations need only full-rank constant blocks and
+    orthogonality, so the result need not be basic.
+    """
+    if M.rows == M.cols - 1:
+        return pm_make(M.field, [_cofactor_row(M)])
+    if M.rows == 1:
+        return pm_make(M.field, _pivot_rows(M.field, list(M.entries[0])))
+    return None
 
 
 def window_generator(c: CodeSpec) -> PolyMatrix | None:
-    if c.gen is not None:
-        return c.gen
-    if c.par is not None and c.k in (1, c.n - 1):
-        return derive_generator(c)
-    return None
+    return c.gen if c.gen is not None else derived_complement(c.par)
 
 
 def window_parity(c: CodeSpec) -> PolyMatrix | None:
-    if c.par is not None:
-        return c.par
-    if c.gen is not None and c.k in (1, c.n - 1):
-        return derive_parity(c)
-    return None
+    return c.par if c.par is not None else derived_complement(c.gen)
 
 
 # --- sliding matrices ----------------------------------------------------
@@ -390,18 +360,6 @@ def systematic_h_rows(S: SlidingMatrix):
     M = S.j
     n = S.block_cols
     return [list(S.data[t][M + 1 : M + n]) for t in range(M + 1)]
-
-
-def systematic_column_order(n: int, M: int, pivot: int = 0):
-    """Source column indices of the systematic reordering of a parity window.
-
-    Entry r of the result is the column of the plain (time-major) window that
-    lands at position r of the systematic one.
-    """
-    order = [t * n + pivot for t in range(M + 1)]
-    for t in range(M + 1):
-        order.extend(t * n + i for i in range(n) if i != pivot)
-    return order
 
 
 # --- code description files ----------------------------------------------

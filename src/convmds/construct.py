@@ -25,7 +25,7 @@ The pipeline has three steps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from . import linalg
 from .code import (
@@ -233,18 +233,5 @@ def construct_dual_mds(
     if delta % (n - 1):
         raise DivisibilityViolated(f"need (n-1)={n - 1} dividing delta={delta}")
     trace = construct_strongly_mds(n, delta, field, T=T, seed=seed, budget=budget)
-    dual_code = dual(trace.code)
-    certificates = dict(trace.certificates)
-    certificates["dual_of_certified"] = True
-    return ConstructionTrace(
-        n,
-        delta,
-        field,
-        trace.tau,
-        trace.toeplitz,
-        trace.hhat,
-        trace.a,
-        trace.b,
-        dual_code,
-        certificates,
-    )
+    certificates = dict(trace.certificates, dual_of_certified=True)
+    return replace(trace, code=dual(trace.code), certificates=certificates)

@@ -19,9 +19,9 @@ from . import linalg
 from .code import (CodeSpec, content_lines, pm_memory, sliding_parity,
                    window_generator, window_parity)
 from .distances import lm_params
-from .errors import (Ambiguous, BadParams, FieldMismatch, HorizonExceeded,
-                     Infeasible, MissingMatrix, NoSolution, NotRateNMinus1,
-                     ParseError, ShapeMismatch, BudgetExceeded)
+from .errors import (Ambiguous, BadParams, FieldMismatch, Infeasible,
+                     MissingMatrix, NoSolution, NotRateNMinus1, ParseError,
+                     ShapeMismatch, BudgetExceeded)
 from .galois import FiniteField, parse_field
 from .poly import (format_poly, parse_poly, poly_add, poly_coef, poly_deg,
                    poly_mul, poly_norm, series_div)
@@ -34,6 +34,13 @@ MAX_LENGTH = 1 << 16  # blocks in a received word or an error pattern
 def _check_length(length: int) -> None:
     if length > MAX_LENGTH:
         raise BadParams(f"length {length} above the supported {MAX_LENGTH} blocks")
+
+
+def _check_values(field: FiniteField, values) -> None:
+    """Reject anything that is not an element of the field, once, at entry."""
+    for x in values:
+        if not isinstance(x, int) or not (0 <= x < field.q):
+            raise FieldMismatch(f"value {x!r} outside GF({field.q})")
 
 
 # --- received words -------------------------------------------------------
@@ -70,9 +77,7 @@ def make_received(field: FiniteField, symbols) -> ReceivedWord:
     if n == 0 or any(len(r) != n for r in rows):
         raise ShapeMismatch("symbol blocks must share a positive length")
     for r in rows:
-        for x in r:
-            if not isinstance(x, int) or not (0 <= x < field.q):
-                raise FieldMismatch(f"value {x!r} outside GF({field.q})")
+        _check_values(field, r)
     return ReceivedWord(field, tuple(rows))
 
 
@@ -87,10 +92,6 @@ def word_from_polys(field: FiniteField, polys, length: int | None = None) -> Rec
     _check_length(length)
     rows = [tuple(poly_coef(p, t) for p in ps) for t in range(length)]
     return make_received(field, rows)
-
-
-def word_to_polys(w: ReceivedWord):
-    return [w.coordinate(i) for i in range(w.n)]
 
 
 # --- syndromes ------------------------------------------------------------
@@ -118,17 +119,6 @@ def _syndrome_series(F: FiniteField, symbols, parity, length: int):
                 if v:
                     syn[t + d] = F.add(syn[t + d], F.mul(v, coef))
     return syn
-
-
-def window_syndrome(vhat: ReceivedWord, c: CodeSpec, j: int):
-    """Syndrome coefficients j..j+M of the product of vhat with the parity row."""
-    parity = _parity_row(c)
-    _, M = lm_params(c.n, c.k, c.delta)
-    if j < 0 or j + M > vhat.horizon:
-        raise HorizonExceeded(
-            f"window [{j}, {j + M}] leaves the received horizon {vhat.horizon}")
-    syn = _syndrome_series(c.field, vhat.symbols, parity, j + M + 1)
-    return syn[j:j + M + 1]
 
 
 # --- the leading error block ----------------------------------------------
@@ -175,6 +165,7 @@ def solve_eta0(S, c: CodeSpec, t: int | None = None,
     """
     if c.k != c.n - 1:
         raise NotRateNMinus1("syndrome solving needs k = n-1")
+    _check_values(c.field, S)
     n = c.n
     M = len(S) - 1
     if t is None:
@@ -418,6 +409,23 @@ def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
     return ErrorPattern(field, tuple(tuple(r) for r in grid), M, t)
 
 
+def channel_trials(c: CodeSpec, trials: int, seed: int, horizon: int,
+                   adversarial: bool = False):
+    """Seeded (message, error pattern) pairs, one per simulation trial.
+
+    One xorshift64* stream, seeded with 97 + seed, draws each message (k
+    polynomials of 5 coefficients) and then that trial's 64-bit pattern seed,
+    so neighbouring run seeds share no pattern.  Patterns span horizon + 1
+    blocks."""
+    _, M = lm_params(c.n, c.k, c.delta)
+    t = (M + 1) // 2
+    rng = XorShift64Star(97 + seed)
+    for _ in range(trials):
+        msg = [tuple(rng.below(c.field.q) for _ in range(5)) for _ in range(c.k)]
+        yield msg, make_error_pattern(c.field, horizon + 1, c.n, M, t,
+                                      seed=rng.next64(), adversarial=adversarial)
+
+
 # --- encoding and end-to-end simulation ------------------------------------
 
 
@@ -429,6 +437,8 @@ def encode_word(c: CodeSpec, message, length: int) -> ReceivedWord:
     if len(message) != c.k:
         raise ShapeMismatch(f"message needs {c.k} coordinates, got {len(message)}")
     F = c.field
+    for u in message:
+        _check_values(F, u)
     polys = []
     for i in range(c.n):
         acc = ()

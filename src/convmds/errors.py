@@ -99,10 +99,6 @@ class DivisibilityViolated(CodingError):
     code = "DIVISIBILITY_VIOLATED"
 
 
-class HorizonExceeded(CodingError):
-    code = "HORIZON_EXCEEDED"
-
-
 class NoSolution(CodingError):
     code = "NO_SOLUTION"
 

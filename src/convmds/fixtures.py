@@ -18,7 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .code import CodeSpec, make_code, save_code
-from .decoder import ReceivedWord, save_received, word_from_polys
+from .decoder import save_received, word_from_polys
 from .galois import standard_field
 from .poly import poly_norm
 
@@ -171,10 +171,6 @@ def all_fixtures() -> dict:
            note="free distance meets the bound late; the dual code has distance 4")
 
     return out
-
-
-def fixture_names():
-    return sorted(all_fixtures())
 
 
 def fixture(name: str) -> Fixture:

@@ -3,24 +3,19 @@
 Matrices are lists of row lists of int elements; vectors are lists or tuples.
 Everything here is plain Gaussian elimination sized for desk-scale problems
 (dimensions in the tens).  The exception is ``span_supports``, the support
-search behind the column distances, the construction certificate, the
-superregular battery and the decoder: it reduces incrementally along a
-depth-first walk instead of eliminating afresh for every index set, because
-those searches spend their time in it.
+search behind the column distances, the construction certificate and the
+decoder: it reduces incrementally along a depth-first walk instead of
+eliminating afresh for every index set, because those searches spend their
+time in it.
 """
 
 from __future__ import annotations
 
-from .errors import Singular
 from .galois import FiniteField
 
 
 def mat_copy(A):
     return [list(r) for r in A]
-
-
-def identity(F: FiniteField, n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def transpose(A):
@@ -74,12 +69,6 @@ def _eliminate(F: FiniteField, A):
     return pivots
 
 
-def mat_rank(F: FiniteField, A) -> int:
-    if not A:
-        return 0
-    return len(_eliminate(F, mat_copy(A)))
-
-
 def mat_det(F: FiniteField, A) -> int:
     n = len(A)
     M = mat_copy(A)
@@ -98,15 +87,6 @@ def mat_det(F: FiniteField, A) -> int:
                 f = F.mul(inv, M[i][c])
                 M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
     return det
-
-
-def mat_inv(F: FiniteField, A):
-    n = len(A)
-    M = [list(A[i]) + identity(F, n)[i] for i in range(n)]
-    pivots = _eliminate(F, M)
-    if pivots != list(range(n)):
-        raise Singular("matrix is not invertible")
-    return [row[n:] for row in M]
 
 
 def solve(F: FiniteField, A, b):
@@ -202,13 +182,6 @@ def span_supports(F: FiniteField, vectors, target, size: int):
 
     if size:
         yield from walk(0, vectors, target)
-
-
-def kernel_basis(F: FiniteField, A):
-    """Basis of the right kernel {x : A x = 0}."""
-    cols = len(A[0]) if A else 0
-    got = solve(F, A, [0] * len(A))
-    return got[1] if got else [[0] * cols]
 
 
 def det_bareiss(A):

@@ -41,10 +41,6 @@ def poly_neg(F: FiniteField, f):
     return tuple(F.neg(c) for c in f)
 
 
-def poly_sub(F: FiniteField, f, g):
-    return poly_add(F, f, poly_neg(F, g))
-
-
 def poly_mul(F: FiniteField, f, g):
     if not f or not g:
         return ()
@@ -61,20 +57,6 @@ def poly_scale(F: FiniteField, f, c: int):
     if c == 0:
         return ()
     return poly_norm(F.mul(a, c) for a in f)
-
-
-def poly_shift(f, k: int):
-    """Multiply by D^k."""
-    if not f:
-        return ()
-    return (0,) * k + tuple(f)
-
-
-def poly_eval(F: FiniteField, f, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def poly_coef(f, i: int) -> int:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .code import dual, window_generator, window_parity
 from .construct import construct_dual_mds, construct_strongly_mds
-from .decoder import feedback_decode, make_error_pattern, simulate
+from .decoder import (channel_trials, feedback_decode, make_error_pattern,
+                      simulate)
 from .distances import (column_distance, free_distance, griesmer_feasible,
                         has_mdp_bruteforce, has_mdp_minors, lm_params,
                         profile, _message_space, _syndrome_space)
@@ -23,8 +24,6 @@ from .errors import BadParams, BudgetExceeded, CodingError
 from .fixtures import (all_fixtures, decode_walkthrough, fixture,
                        reference_toeplitz)
 from .galois import standard_field
-from .poly import poly_norm
-from .rng import XorShift64Star
 from .superregular import (binomial_toeplitz, inverse_superregular,
                            is_superregular, proper_minors_positive,
                            search_general_toeplitz, search_toeplitz,
@@ -109,14 +108,9 @@ def run_simulations(fx, trials: int, seed_base: int = 0,
     """Seeded compliant-error simulations; returns problems (empty = all good)."""
     c = fx.code
     _, M = lm_params(c.n, c.k, c.delta)
-    t = (M + 1) // 2
     horizon = 12 + 2 * M
-    rng = XorShift64Star(97 + seed_base)
     problems = []
-    for i in range(trials):
-        msg = [tuple(rng.below(c.field.q) for _ in range(5)) for _ in range(c.k)]
-        err = make_error_pattern(c.field, horizon + 1, c.n, M, t,
-                                 seed=seed_base + i)
+    for i, (msg, err) in enumerate(channel_trials(c, trials, seed_base, horizon)):
         if not err.constraint_ok:
             problems.append(f"{fx.name}: trial {i} pattern broke its own cap")
             continue

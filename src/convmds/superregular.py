@@ -21,13 +21,11 @@ It only explores t_2 = 1: the 1 x 1 minor t_2 rules out t_2 = 0, and the
 diagonal similarity diag(a^i) T diag(a^-i) turns any superregular column
 with t_2 = 1/a into one with t_2 = 1 (see ``search_toeplitz``).
 
-Besides the direct minor test this module implements the whole battery of
-equivalent characterizations (weight of column combinations, span conditions,
-bounded-weight kernel vectors of [I | T]) so they can be cross-checked, the
-closure properties (inverse, leading principal submatrices), binomial Toeplitz
-matrices with their banded-power positivity criterion, the smallest prime over
-which the n-th binomial matrix stays superregular, and exhaustive or seeded
-searches for superregular columns.
+Besides the direct minor test this module implements the closure properties
+(inverse, leading principal submatrices), binomial Toeplitz matrices with
+their banded-power positivity criterion, the smallest prime over which the
+n-th binomial matrix stays superregular, and exhaustive or seeded searches
+for superregular columns.
 """
 
 from __future__ import annotations
@@ -132,78 +130,6 @@ def inverse_superregular(T: LowerToeplitz) -> LowerToeplitz:
         raise Singular("diagonal entry is zero")
     inv_col = series_div(T.field, (1,), tuple(T.col), T.size)
     return LowerToeplitz(T.field, tuple(inv_col))
-
-
-@dataclass
-class EquivalenceReport:
-    superregular: bool          # all proper minors nonzero
-    combo_weight: bool          # wt(T_1 + sum beta_j T_mj) >= l - s
-    span_t1: bool               # T_1 not in span of other/unit columns
-    kernel_t1: bool             # no light kernel vector of [I|T] hitting T_1
-    span_e1: bool               # e_1 not in span of T columns/unit vectors
-    kernel_e1: bool             # no light kernel vector of [I|T] hitting e_1
-
-    @property
-    def agree(self) -> bool:
-        vals = (
-            self.superregular,
-            self.combo_weight,
-            self.span_t1,
-            self.kernel_t1,
-            self.span_e1,
-            self.kernel_e1,
-        )
-        return len(set(vals)) == 1
-
-
-def check_equivalences(T: LowerToeplitz, budget: int = 1 << 22) -> EquivalenceReport:
-    """Evaluate six equivalent superregularity conditions independently."""
-    if T.field is None:
-        raise BadParams("equivalence battery needs a field")
-    F = T.field
-    l = T.size
-    if (1 + F.q) ** (l - 1) > budget:
-        raise BudgetExceeded("combination condition too large for the budget")
-    M = T.rows()
-    tcols = [[M[i][j] for i in range(l)] for j in range(l)]
-    ecols = [[1 if i == j else 0 for i in range(l)] for j in range(l)]
-
-    a = is_superregular(T)
-
-    # s = 0 is the bare column: wt(T_1) >= l, since every entry of T_1 is
-    # itself a proper 1x1 minor
-    c = True
-    for s in range(l):
-        for ms in itertools.combinations(range(1, l), s):  # 0-based cols 1..l-1
-            for betas in itertools.product(range(F.q), repeat=s):
-                v = list(tcols[0])
-                for m, b in zip(ms, betas):
-                    if b:
-                        v = [F.add(x, F.mul(b, y)) for x, y in zip(v, tcols[m])]
-                if linalg.vec_weight(v) < l - s:
-                    c = False
-                    break
-            if not c:
-                break
-        if not c:
-            break
-
-    def outside_span(target, pool):
-        # target lies in the span of no l - 1 or fewer vectors of the pool
-        return not any(any(linalg.span_supports(F, pool, target, s))
-                       for s in range(l))
-
-    # span conditions: T_1 against the other T columns and the unit vectors,
-    # e_1 against the T columns and the other unit vectors
-    d = outside_span(tcols[0], tcols[1:] + ecols)
-    f = outside_span(ecols[0], tcols + ecols[1:])
-    # kernel conditions: no v with v Hhat^T = 0, v_special != 0 and
-    # wt(v) <= l, where Hhat = [I | T]; equivalently the special column of
-    # Hhat is outside the span of every set of at most l - 1 other columns
-    e = outside_span(tcols[0], ecols + tcols[1:])  # column l+1, i.e. T_1
-    g = outside_span(ecols[0], ecols[1:] + tcols)  # column e_1
-
-    return EquivalenceReport(a, c, d, e, f, g)
 
 
 # --- integer binomial matrices and the banded power criterion -------------

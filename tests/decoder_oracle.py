@@ -1,14 +1,34 @@
-"""Reference error channel, kept as a test oracle.
+"""Reference error channel and window syndromes, kept as test oracles.
 
-This is the direct form the package's window-count sampler replaces: each
-try rescans every window that covers its block, and the loop runs until the
-target or the try limit even after no slot is left that could be accepted.
+``make_error_pattern`` is the direct form the package's window-count sampler
+replaces: each try rescans every window that covers its block, and the loop
+runs until the target or the try limit even after no slot is left that could
+be accepted.  ``window_syndrome`` reads one syndrome window of a received
+word from scratch, where the decoder updates one running series.
 """
 
-from convmds.decoder import ErrorPattern
-from convmds.errors import BadParams, Infeasible
+from convmds.code import CodeSpec
+from convmds.decoder import (ErrorPattern, ReceivedWord, _parity_row,
+                             _syndrome_series)
+from convmds.distances import lm_params
+from convmds.errors import BadParams, CodingError, Infeasible
 from convmds.galois import FiniteField
 from convmds.rng import XorShift64Star
+
+
+class HorizonExceeded(CodingError):
+    code = "HORIZON_EXCEEDED"
+
+
+def window_syndrome(vhat: ReceivedWord, c: CodeSpec, j: int):
+    """Syndrome coefficients j..j+M of the product of vhat with the parity row."""
+    parity = _parity_row(c)
+    _, M = lm_params(c.n, c.k, c.delta)
+    if j < 0 or j + M > vhat.horizon:
+        raise HorizonExceeded(
+            f"window [{j}, {j + M}] leaves the received horizon {vhat.horizon}")
+    syn = _syndrome_series(c.field, vhat.symbols, parity, j + M + 1)
+    return syn[j:j + M + 1]
 
 
 def _window_weight_at(grid, pos: int, M: int, t: int) -> bool:

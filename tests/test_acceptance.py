@@ -18,12 +18,12 @@ from convmds.distances import (free_distance, griesmer_feasible,
 from convmds.fixtures import (all_fixtures, decode_walkthrough, fixture,
                               reference_toeplitz)
 from convmds.galois import standard_field
-from convmds.superregular import (binomial_toeplitz, check_equivalences,
-                                  inverse_superregular, is_superregular,
-                                  proper_minors_positive,
+from convmds.superregular import (binomial_toeplitz, inverse_superregular,
+                                  is_superregular, proper_minors_positive,
                                   search_general_toeplitz,
                                   smallest_prime_superregular, theorem_a_check,
                                   toeplitz)
+from superregular_oracle import check_equivalences
 
 GOLDEN_PROFILES = {
     "smds_3_1_1_q4": (3, 5, 6),

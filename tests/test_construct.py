@@ -5,8 +5,8 @@ import random
 import pytest
 
 from construct_oracle import canonical_a
-from convmds.code import (SlidingMatrix, derive_parity, laurent_table,
-                          pm_is_zero, pm_mul, pm_transpose)
+from convmds.code import (SlidingMatrix, laurent_table, pm_is_zero, pm_mul,
+                          pm_transpose, window_parity)
 from convmds.construct import (build_hhat, column_property_holds,
                                construct_dual_mds, construct_strongly_mds,
                                required_tau, solve_ab)
@@ -149,7 +149,7 @@ def test_dual_construction():
     c = trace.code
     assert (c.n, c.k, c.delta) == (3, 1, 2)
     assert c.gen is not None and c.par is None
-    assert pm_is_zero(pm_mul(c.gen, pm_transpose(derive_parity(c))))
+    assert pm_is_zero(pm_mul(c.gen, pm_transpose(window_parity(c))))
     assert trace.certificates["dual_of_certified"] is True
     assert c.gen.entries == fixture("smds_3_1_2_q64").code.gen.entries
     with pytest.raises(DivisibilityViolated):

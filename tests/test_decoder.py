@@ -5,21 +5,21 @@ from math import comb
 
 import pytest
 
-from convmds.decoder import (MAX_LENGTH, encode_word, feedback_decode,
-                             format_received_file, load_received,
-                             make_error_pattern, make_received,
+from convmds.decoder import (MAX_LENGTH, channel_trials, encode_word,
+                             feedback_decode, format_received_file,
+                             load_received, make_error_pattern, make_received,
                              parse_received_file, save_received, simulate,
-                             solve_eta0, systematic_shortcut, window_syndrome,
-                             word_from_polys, word_to_polys)
+                             solve_eta0, systematic_shortcut, word_from_polys)
 from convmds.distances import lm_params
 from convmds.errors import (Ambiguous, BadParams, BudgetExceeded,
-                            FieldMismatch, HorizonExceeded, Infeasible,
-                            NoSolution, NotRateNMinus1, ParseError,
-                            ShapeMismatch)
+                            FieldMismatch, Infeasible, NoSolution,
+                            NotRateNMinus1, ParseError, ShapeMismatch)
 from convmds.fixtures import decode_walkthrough, fixture
 from convmds.galois import standard_field
 from convmds.poly import poly_add, poly_mul
 from convmds.rng import XorShift64Star
+from convmds.selftest import decodable_fixtures
+from decoder_oracle import HorizonExceeded, window_syndrome
 
 F8 = standard_field(8)
 
@@ -40,7 +40,7 @@ def test_make_received_validation():
 def test_word_from_polys_round_trip():
     polys = ((1, 0, 3), (0, 2))
     w = word_from_polys(F8, polys, length=4)
-    assert word_to_polys(w) == [(1, 0, 3), (0, 2)]
+    assert [w.coordinate(i) for i in range(w.n)] == [(1, 0, 3), (0, 2)]
     assert w.symbols == ((1, 0), (0, 2), (3, 0), (0, 0))
     with pytest.raises(BadParams):
         word_from_polys(F8, polys, length=2)  # would clip a coefficient
@@ -65,6 +65,16 @@ def test_encode_word_matches_polynomial_product():
                 assert w.coordinate(i) == acc
         with pytest.raises(ShapeMismatch):
             encode_word(c, [()] * (c.k + 1), length=8)
+
+
+def test_values_outside_the_field_are_rejected():
+    c = fixture("smds_3_2_2_q64").code
+    with pytest.raises(FieldMismatch):
+        encode_word(c, [(200,), (1,)], 6)
+    with pytest.raises(FieldMismatch):
+        solve_eta0([200, 0, 0, 0], c)
+    with pytest.raises(FieldMismatch):
+        encode_word(fixture("smds_2_1_2_q8").code, [(1, 9)], 6)
 
 
 def test_window_syndrome_zero_on_codewords():
@@ -218,6 +228,17 @@ def test_error_pattern_compliant_windows():
                     for x in grid[r] if x) for s in range(20)]
         assert max(scan) <= t
         assert list(pat.window_weights()) == scan
+
+
+def test_channel_trials_at_neighbouring_seeds_share_no_pattern():
+    for fx in decodable_fixtures():
+        c = fx.code
+        _, M = lm_params(c.n, c.k, c.delta)
+        runs = [{err.symbols for _, err in channel_trials(c, 20, seed,
+                                                          12 + 2 * M)}
+                for seed in (0, 1)]
+        assert len(runs[0]) == len(runs[1]) == 20, fx.name
+        assert not runs[0] & runs[1], fx.name
 
 
 def test_error_pattern_reproducible_and_distinct():

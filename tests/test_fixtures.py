@@ -8,8 +8,7 @@ from convmds.code import load_code, pm_is_zero, pm_mul, pm_transpose
 from convmds.decoder import load_received
 from convmds.distances import lm_params, singleton_bound
 from convmds.fixtures import (all_fixtures, decode_walkthrough, fixture,
-                              fixture_names, reference_toeplitz,
-                              write_fixture_files)
+                              reference_toeplitz, write_fixture_files)
 from convmds.selftest import decodable_fixtures
 from convmds.superregular import is_superregular
 
@@ -19,7 +18,6 @@ REPO_FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 def test_registry_is_consistent():
     fxs = all_fixtures()
     assert len(fxs) == 17
-    assert set(fixture_names()) == set(fxs)
     for name, fx in fxs.items():
         assert fx.name == name
         c = fx.code

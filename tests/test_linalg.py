@@ -1,10 +1,10 @@
 """Linear algebra over finite fields and exact integer determinants."""
 
+import itertools
 from fractions import Fraction
 
 from convmds.galois import standard_field
-from convmds.linalg import (det_bareiss, identity, in_span, kernel_basis,
-                            mat_det, mat_inv, mat_mul, mat_rank, solve,
+from convmds.linalg import (det_bareiss, in_span, mat_det, mat_mul, solve,
                             transpose, vec_mat, vec_weight)
 from convmds.rng import XorShift64Star
 
@@ -16,7 +16,6 @@ def random_matrix(rng, q, r, c):
 def det_permutation(F, A):
     """Leibniz expansion, independent of the elimination code."""
     n = len(A)
-    import itertools
     total = 0
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -40,20 +39,6 @@ def test_det_matches_leibniz():
             for _ in range(30):
                 A = random_matrix(rng, q, n, n)
                 assert mat_det(F, A) == det_permutation(F, A)
-
-
-def test_inverse_round_trip():
-    rng = XorShift64Star(23)
-    F = standard_field(16)
-    done = 0
-    while done < 20:
-        A = random_matrix(rng, 16, 4, 4)
-        if mat_det(F, A) == 0:
-            continue
-        done += 1
-        I = identity(F, 4)
-        assert mat_mul(F, A, mat_inv(F, A)) == I
-        assert mat_mul(F, mat_inv(F, A), A) == I
 
 
 def test_solve_recovers_known_solution():
@@ -81,14 +66,24 @@ def test_solve_inconsistent_returns_none():
     assert solve(F, A, [1, 1]) is not None
 
 
+def rank_by_minors(F, A):
+    """Order of the largest nonzero minor, by Leibniz expansion."""
+    for r in range(min(len(A), len(A[0])), 0, -1):
+        for rows in itertools.combinations(range(len(A)), r):
+            for cols in itertools.combinations(range(len(A[0])), r):
+                if det_permutation(F, [[A[i][j] for j in cols] for i in rows]):
+                    return r
+    return 0
+
+
 def test_rank_and_kernel_dimensions():
     rng = XorShift64Star(47)
     F = standard_field(4)
     for _ in range(40):
         rows, cols = 2 + rng.below(4), 2 + rng.below(4)
         A = random_matrix(rng, 4, rows, cols)
-        r = mat_rank(F, A)
-        null = kernel_basis(F, A)
+        r = rank_by_minors(F, A)
+        _, null = solve(F, A, [0] * rows)
         assert r + len(null) == cols
         for vec in null:
             assert all(x == 0 for x in vec_mat(F, vec, transpose(A)))

@@ -8,13 +8,13 @@ from convmds.errors import BadParams, BudgetExceeded, Singular
 from convmds.galois import standard_field
 from convmds.linalg import mat_mul
 from convmds.superregular import (LowerToeplitz, all_minors_nonzero,
-                                  binomial_toeplitz, check_equivalences,
-                                  general_toeplitz, inverse_superregular,
-                                  is_superregular, proper_minors_positive,
+                                  binomial_toeplitz, general_toeplitz,
+                                  inverse_superregular, is_superregular,
+                                  proper_minors_positive,
                                   search_general_toeplitz, search_toeplitz,
                                   smallest_prime_superregular, theorem_a_check,
                                   toeplitz)
-from superregular_oracle import proper_pairs
+from superregular_oracle import check_equivalences, proper_pairs
 
 F2 = standard_field(2)
 F3 = standard_field(3)
