@@ -136,7 +136,8 @@ def test_two_sided_fixtures_are_orthogonal():
 def test_derived_complements_are_orthogonal():
     compared = 0
     for name, fx in sorted(all_fixtures().items()):
-        for c in (fx.code, dual(fx.code)):
+        d = dual(fx.code)
+        for c in (fx.code, d):
             for M in (c.gen, c.par):
                 if M is None:
                     continue
@@ -146,7 +147,6 @@ def test_derived_complements_are_orthogonal():
                     continue
                 assert N.rows == M.cols - M.rows, name
                 assert pm_is_zero(pm_mul(M, pm_transpose(N))), name
-        d = dual(fx.code)
         if d.n <= 4:
             # each engine reads a stored matrix or a derived complement;
             # the n = 2 duals derive with both rules applicable
