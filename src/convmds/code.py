@@ -318,8 +318,6 @@ def laurent_table(c: CodeSpec, M: int, pivot: int = 0):
     if c.k != c.n - 1:
         raise NotRateNMinus1("systematic form needs k = n-1")
     H = window_parity(c)
-    if H is None:
-        raise MissingMatrix("no parity check available for this code")
     F = c.field
     a = list(H.entries[0])
     a0 = poly_coef(a[pivot], 0)

@@ -12,14 +12,19 @@ whose proper minors are all positive).
 
 Minors are checked one shift class and one level at a time.  Shifting a
 proper pair by -(j_1 - 1) in rows and columns leaves a Toeplitz minor
-unchanged, so only the pairs with j_1 = 1 need a determinant: C(l+1) - C(l)
-of the C(l+1) - 1 proper pairs, C the Catalan numbers.  Level k holds the
-pairs with j_1 = 1 and i_r = k, the minors that t_k first enters; levels
-1..k together decide the k x k leading principal submatrix.  The exhaustive
-search grows a column depth first and checks only level k when it sets t_k.
-It only explores t_2 = 1: the 1 x 1 minor t_2 rules out t_2 = 0, and the
-diagonal similarity diag(a^i) T diag(a^-i) turns any superregular column
-with t_2 = 1/a into one with t_2 = 1 (see ``search_toeplitz``).
+unchanged, so only pairs with j_1 = 1 need a determinant.  Level k holds
+those with i_r = k, the minors t_k first enters, and only the indecomposable
+ones: i_v >= j_{v+1} for every v < r.  If i_v < j_{v+1}, rows i_1..i_v meet
+columns j_{v+1}..j_r above the diagonal only, so the minor is the level-i_v
+minor (i_1..i_v | j_1..j_v) times a trailing minor that, shifted by
+-(j_{v+1} - 1), has j_1 = 1 and last row i_r - j_{v+1} + 1 < k.  By
+induction on k, levels 1..k decide the k x k leading principal submatrix,
+over GF(p^m) (no zero divisors) and for integer positivity alike; levels
+1..8 hold 626 of the 3432 shift classes.  The search grows a column depth
+first and checks only level k when it sets t_k.  It only explores t_2 = 1:
+the 1 x 1 minor t_2 rules out t_2 = 0, and the diagonal similarity
+diag(a^i) T diag(a^-i) turns any superregular column with t_2 = 1/a into
+one with t_2 = 1 (see ``search_toeplitz``).
 
 Besides the direct minor test this module implements the closure properties
 (inverse, leading principal submatrices), binomial Toeplitz matrices with
@@ -80,12 +85,14 @@ def toeplitz(field, col) -> LowerToeplitz:
 
 @lru_cache(maxsize=None)
 def minor_level(k: int) -> tuple:
-    """Level k: the proper pairs with first column 1 and last row k.
+    """Level k: the indecomposable proper pairs with j_1 = 1 and i_r = k.
 
-    These are the shift-class representatives of the minors that t_k first
-    enters.  Each pair is stored as its rows of entry offsets i - j, so the
-    minor of a column ``col`` is ``col[i - j]`` where i - j >= 0 and 0
-    elsewhere.  Smaller pairs come first: they are cheaper and fail sooner.
+    One pair per shift class of the minors t_k first enters, less those
+    with some i_v < j_{v+1}: their rows i_1..i_v meet columns j_{v+1}..j_r
+    above the diagonal only, so each is a level-i_v minor times a minor
+    that, shifted by -(j_{v+1} - 1), has j_1 = 1 and i_r = k - j_{v+1} + 1.
+    Pairs are rows of entry offsets i - j (the minor of ``col`` is
+    ``col[i - j]``, 0 where i - j < 0), smaller first: cheaper, fail sooner.
     """
     level, shared = [], {}
     for size in range(1, k + 1):
@@ -93,7 +100,8 @@ def minor_level(k: int) -> tuple:
             rows = head + (k,)
             for tail in itertools.combinations(range(2, k + 1), size - 1):
                 cols = (1,) + tail
-                if all(j <= i for i, j in zip(rows, cols)):
+                # i_v >= j_{v+1} for v < r, which implies j_v <= i_v
+                if all(j <= i for i, j in zip(rows, cols[1:])):
                     # pairs share most offset rows; store each row once
                     offsets = (tuple(i - j for j in cols) for i in rows)
                     level.append(tuple(shared.setdefault(r, r) for r in offsets))
@@ -111,7 +119,7 @@ def _level_ok(F: FiniteField, col) -> bool:
 
 
 def is_superregular(T: LowerToeplitz) -> bool:
-    """All proper minors nonzero, checked level by level, one per shift class."""
+    """All proper minors nonzero, checked level by level (``minor_level``)."""
     if T.field is None:
         raise BadParams("superregularity test needs a field")
     return all(_level_ok(T.field, T.col[:k]) for k in range(1, T.size + 1))
@@ -143,7 +151,7 @@ def binomial_toeplitz(n: int) -> LowerToeplitz:
 
 
 def _integer_minors(T: LowerToeplitz):
-    """Exact big-integer proper minors, one per shift class."""
+    """Exact big-integer proper minors, one per indecomposable shift class."""
     return (linalg.det_bareiss(_minor(T.col, offsets))
             for k in range(1, T.size + 1) for offsets in minor_level(k))
 
@@ -195,13 +203,9 @@ def smallest_prime_superregular(n: int, prime_limit: int = 100000) -> int:
     if n > 8:
         raise BudgetExceeded("minor enumeration beyond 8x8 not supported")
     minors = list(_integer_minors(binomial_toeplitz(n)))
-    p = 2
-    while p <= prime_limit:
+    for p in filter(is_prime, range(2, prime_limit + 1)):
         if all(m % p for m in minors):
             return p
-        p += 1
-        while not is_prime(p):
-            p += 1
     raise BadParams("no prime found below the limit")
 
 

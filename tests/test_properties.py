@@ -1,17 +1,20 @@
-"""Property tests: the error contract and the saturating profile.
+"""Property tests: the error contract, file round trips and the saturating
+profile.
 
 Every run is derandomized, so a failure reproduces on the next run.
 """
 
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convmds.code import parse_code_file
-from convmds.decoder import feedback_decode, make_received, parse_received_file
+from convmds.code import (basic_degree, dual, format_code_file, make_code,
+                          parse_code_file, pm_make)
+from convmds.decoder import (feedback_decode, format_received_file,
+                             make_received, parse_received_file)
 from convmds.distances import column_distance, lm_params, profile
-from convmds.errors import CodingError
+from convmds.errors import CodingError, RankDeficient
 from convmds.fixtures import fixture
 from convmds.galois import parse_field, standard_field
 
@@ -96,6 +99,55 @@ def code_and_word(draw):
 def test_feedback_decode_raises_only_coding_errors(pair):
     c, word = pair
     contract(feedback_decode, word, c)
+
+
+SMALL_FIELD_CODES = ["smds_2_1_2_q8", "smds_3_1_1_q4", "smds_7_1_1_q8",
+                     "smds_7_1_2_q8"]
+COMMENT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+
+
+@st.composite
+def random_codes(draw):
+    """A basic k x n generator over GF(4) or GF(8) of degree at most 2."""
+    F = standard_field(draw(st.sampled_from((4, 8))))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 1))
+    poly = st.lists(st.integers(0, F.q - 1), max_size=3)
+    G = pm_make(F, draw(st.lists(st.lists(poly, min_size=n, max_size=n),
+                                 min_size=k, max_size=k)))
+    try:
+        delta = basic_degree(G)
+    except RankDeficient:
+        delta = None
+    assume(delta is not None)
+    return make_code(F, n, k, delta, gen=G)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(random_codes(),
+                 st.sampled_from(SMALL_FIELD_CODES).map(
+                     lambda name: fixture(name).code)),
+       st.booleans(), COMMENT)
+def test_code_file_round_trip(c, take_dual, comment):
+    # the dual carries the matrix as a parity check instead of a generator
+    c = dual(c) if take_dual else c
+    assert parse_code_file(format_code_file(c, comment)) == c
+
+
+@st.composite
+def received_words(draw):
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    symbol = st.integers(0, F.q - 1)
+    return make_received(F, draw(st.lists(
+        st.lists(symbol, min_size=n, max_size=n), min_size=1, max_size=12)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(received_words(), COMMENT)
+def test_received_file_round_trip(w, comment):
+    back = parse_received_file(format_received_file(w, comment))
+    assert (back.field, back.symbols) == (w.field, w.symbols)
 
 
 SMALL_CODES = ["mds_2_1_2_q11", "smds_2_1_2_q8", "smds_3_1_1_q4",

@@ -8,7 +8,8 @@ import pytest
 from convmds.errors import BudgetExceeded
 from convmds.galois import standard_field
 from convmds.fixtures import reference_toeplitz
-from convmds.linalg import det_bareiss
+from convmds import linalg
+from convmds.linalg import det_bareiss, mat_det
 from convmds.superregular import (LowerToeplitz, binomial_toeplitz,
                                   inverse_superregular, is_superregular,
                                   minor_level, proper_minors_positive,
@@ -30,26 +31,96 @@ def table(l):
     return [pair for k in range(1, l + 1) for pair in minor_level(k)]
 
 
+def offsets(rows, cols):
+    """A pair's entry offsets i - j: equal exactly within a shift class."""
+    return tuple(tuple(i - j for j in cols) for i in rows)
+
+
+def splits(rows, cols):
+    """Each v with i_v < j_{v+1}: the pair is block lower triangular there."""
+    return [v for v in range(1, len(rows)) if rows[v - 1] < cols[v]]
+
+
 def test_level_and_pair_counts():
     sizes = [len(table(l)) for l in range(1, 9)]
-    assert sizes == [1, 3, 9, 28, 90, 297, 1001, 3432]
+    assert sizes == [1, 2, 4, 9, 23, 65, 197, 626]
     for l in range(1, 9):
-        assert sizes[l - 1] == catalan(l + 1) - catalan(l)
         assert sum(1 for _ in proper_pairs(l)) == catalan(l + 1) - 1
 
 
 def test_levels_are_the_shift_classes():
-    # a pair's entry offsets i - j are invariant under shifting rows and
-    # columns together, and tell the shift classes apart
+    # the table holds one pair per shift class of the indecomposable proper
+    # pairs (no i_v < j_{v+1}); a shift keeps i_v - j_{v+1}, so whether a
+    # pair decomposes is a property of its class
     for l in range(1, 8):
-        classes = {tuple(tuple(i - j for j in cols) for i in rows)
-                   for rows, cols in proper_pairs(l)}
         pairs = table(l)
         assert len(set(pairs)) == len(pairs)
-        assert set(pairs) == classes
+        assert set(pairs) == {offsets(rows, cols)
+                              for rows, cols in proper_pairs(l)
+                              if not splits(rows, cols)}
+        assert len({offsets(rows, cols) for rows, cols in proper_pairs(l)}
+                   ) == catalan(l + 1) - catalan(l)
     for k in range(1, 9):
         # entry (i_r, j_1) = (k, 1) is t_k, the largest index in the minor
         assert all(p[-1][0] == k - 1 == max(map(max, p)) for p in minor_level(k))
+
+
+def test_decomposable_minors_are_products_of_lower_minors():
+    rng = random.Random(13)
+    F = standard_field(16)
+    for l in range(2, 8):
+        columns = [(F, (rng.randrange(1, 16),)
+                    + tuple(rng.randrange(16) for _ in range(l - 1)))
+                   for _ in range(3)]
+        columns += [(None, tuple(rng.randint(-3, 6) for _ in range(l)))
+                    for _ in range(3)]
+        decomposable = 0
+        for rows, cols in proper_pairs(l):
+            for v in splits(rows, cols):
+                decomposable += 1
+                shift = cols[v] - 1
+                lead = rows[:v], cols[:v]
+                trail = (tuple(i - shift for i in rows[v:]),
+                         tuple(j - shift for j in cols[v:]))
+                # both factors are proper and end on a lower row; the
+                # shifted trailing one starts at column 1
+                for pair in (lead, trail):
+                    assert all(j <= i for i, j in zip(*pair))
+                    assert pair[0][-1] < rows[-1]
+                assert trail[1][0] == 1
+                for field, col in columns:
+                    minors = [submatrix(col, *p)
+                              for p in ((rows, cols), lead, trail)]
+                    if field is None:
+                        whole, a, b = map(det_bareiss, minors)
+                        assert whole == a * b, (col, rows, cols, v)
+                    else:
+                        whole, a, b = (mat_det(field, m) for m in minors)
+                        assert whole == field.mul(a, b), (col, rows, cols, v)
+        assert decomposable > 0
+
+
+def test_reference_8x8_check_counts_one_determinant_per_pair(monkeypatch):
+    T = next(T for T in reference_toeplitz() if T.size == 8)
+    calls = []
+
+    def counted(F, rows):
+        calls.append(len(rows))
+        return mat_det(F, rows)
+
+    monkeypatch.setattr(linalg, "mat_det", counted)
+    assert T.field.q == 64 and is_superregular(T)
+    # one determinant per indecomposable shift class, of 3432 shift classes
+    assert len(calls) == 626
+
+
+def test_least_gf2m_goldens_for_7x7_and_8x8():
+    # an 8x8 superregular matrix exists over GF(32), a smaller field than
+    # the GF(64) of the bundled 8x8 reference
+    F = standard_field(32)
+    col = (1, 1, 2, 6, 5, 30, 31, 1)
+    assert is_superregular(toeplitz(F, col)) and superregular_column(F, col)
+    assert search_toeplitz(7, F, budget=1 << 40).col == (1, 1, 2, 3, 8, 1, 26)
 
 
 def test_check_matches_oracle_on_random_columns():
