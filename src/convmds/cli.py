@@ -119,7 +119,7 @@ def cmd_distances(args) -> int:
     L, M, sing = prof.L, prof.M, prof.singleton
     rows = []
     for j, d in enumerate(prof.values):
-        bound = min(prof.bound_at(j), sing)
+        bound = prof.bound_at(j)
         mark = []
         if j == L:
             mark.append("L")
@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for any randomized step")
     common.add_argument("--budget", type=int, default=None,
-                        help="candidate-count cap for searches")
+                        help="work cap for searches: candidates, supports "
+                        "or Toeplitz minors")
     common.add_argument("--format", choices=("text", "csv"), default="text",
                         help="table output style")
 

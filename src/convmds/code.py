@@ -255,12 +255,9 @@ def window_parity(c: CodeSpec) -> PolyMatrix | None:
 @dataclass
 class SlidingMatrix:
     field: FiniteField
-    kind: str  # generator | parity | systematic
     j: int
-    block_rows: int
     block_cols: int
     data: list
-    pivot: int = 0
 
     @property
     def rows(self):
@@ -294,7 +291,7 @@ def sliding_generator(c: CodeSpec, j: int) -> SlidingMatrix:
         raise MissingMatrix("no generator available for this code")
     coeffs = [pm_coefficient(G, t) for t in range(pm_memory(G) + 1)]
     data = _assemble(c.field, coeffs, j, c.k, c.n, upper=True)
-    return SlidingMatrix(c.field, "generator", j, c.k, c.n, data)
+    return SlidingMatrix(c.field, j, c.n, data)
 
 
 def sliding_parity(c: CodeSpec, j: int) -> SlidingMatrix:
@@ -305,7 +302,7 @@ def sliding_parity(c: CodeSpec, j: int) -> SlidingMatrix:
         raise MissingMatrix("no parity check available for this code")
     coeffs = [pm_coefficient(H, t) for t in range(pm_memory(H) + 1)]
     data = _assemble(c.field, coeffs, j, c.n - c.k, c.n, upper=False)
-    return SlidingMatrix(c.field, "parity", j, c.n - c.k, c.n, data)
+    return SlidingMatrix(c.field, j, c.n, data)
 
 
 def laurent_table(c: CodeSpec, M: int, pivot: int = 0):
@@ -350,7 +347,7 @@ def systematic_sliding_parity(c: CodeSpec, M: int, pivot: int = 0) -> SlidingMat
         for b in range(M + 1):
             row.extend(hrows[t - b] if t >= b else [0] * (n - 1))
         data.append(row)
-    return SlidingMatrix(c.field, "systematic", M, 1, n, data, pivot)
+    return SlidingMatrix(c.field, M, n, data)
 
 
 def systematic_h_rows(S: SlidingMatrix):

@@ -95,7 +95,7 @@ def build_hhat(T: LowerToeplitz, n: int, M: int) -> SlidingMatrix:
         row = [1 if s == r else 0 for s in range(M + 1)]
         row.extend(rows[(r + 1) * (n - 1) - 1])
         data.append(row)
-    S = SlidingMatrix(T.field, "systematic", M, 1, n, data)
+    S = SlidingMatrix(T.field, M, n, data)
     if not column_property_holds(S):
         raise ColumnPropertyFailed("window misses the strong-MDS column property")
     return S

@@ -4,8 +4,12 @@ Column distance d^c_j is the minimum weight of a codeword window v_[0,j]
 over messages with u_0 != 0.  Two exact strategies are implemented and
 cross-checked in the test suite:
 
-* message enumeration: depth first search over (u_0, ..., u_j) with weight
-  pruning, u_0 normalized so its first nonzero coordinate is 1;
+* message enumeration: depth first search over (u_0, ..., u_j), u_0
+  normalized so its first nonzero coordinate is 1.  Block i of the codeword
+  is the sum of u_{i-t} G_t over t <= min(nu, i), so a node adds the blocks
+  its path carries into block i (t >= 1) once, and weighs each child u as
+  that carry plus u G_0, read from per-message tables of u G_t.  A child is
+  entered only while the weight so far stays below the best window found;
 * parity search: d^c_j = 1 + min s such that some column of the parity
   window among the first n lies in the span of s of the other columns.
 
@@ -45,7 +49,6 @@ from .code import (
 from .errors import BadParams, BudgetExceeded, MissingMatrix
 
 DEFAULT_BUDGET = 1 << 28
-_STATE_TABLE_LIMIT = 1 << 18
 
 
 def singleton_bound(n: int, k: int, delta: int) -> int:
@@ -64,8 +67,13 @@ def lm_params(n: int, k: int, delta: int):
     return L, M
 
 
-def _window_cap(c: CodeSpec, j: int) -> int:
-    return min((c.n - c.k) * (j + 1) + 1, singleton_bound(c.n, c.k, c.delta))
+def _window_cap(n: int, k: int, delta: int, j: int) -> int:
+    """The most d^c_j can be: (n-k)(j+1)+1, capped by the Singleton bound.
+
+    For j <= L the cap never binds: (n-k)(L+1)+1 is at most
+    (n-k)(floor(delta/k)+1) + delta + 1, as (n-k) floor(delta/(n-k)) <= delta.
+    """
+    return min((n - k) * (j + 1) + 1, singleton_bound(n, k, delta))
 
 
 def _message_space(c: CodeSpec, j: int) -> int:
@@ -74,7 +82,8 @@ def _message_space(c: CodeSpec, j: int) -> int:
 
 def _syndrome_space(c: CodeSpec, j: int) -> int:
     N = (j + 1) * c.n
-    return c.n * sum(comb(N - 1, s) for s in range(_window_cap(c, j)))
+    cap = _window_cap(c.n, c.k, c.delta, j)
+    return c.n * sum(comb(N - 1, s) for s in range(cap))
 
 
 def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
@@ -115,48 +124,34 @@ def _dc_messages(c: CodeSpec, j: int, budget: int) -> int:
     if _message_space(c, j) > budget:
         raise BudgetExceeded(f"message space {_message_space(c, j)} over budget")
     nu = pm_memory(G)
-    coeffs = [pm_coefficient(G, t) for t in range(nu + 1)]
     qk = q**k
     msgs = [[u // q**i % q for i in range(k)] for u in range(qk)]  # base-q digits
-    tabs = []
-    for t in range(nu + 1):
-        tabs.append([tuple(linalg.vec_mat(F, m, coeffs[t])) for m in msgs])
+    # tabs[t][u] = u G_t, the share of message u in the block t steps later
+    tabs = [[linalg.vec_mat(F, m, pm_coefficient(G, t)) for m in msgs]
+            for t in range(nu + 1)]
     canon = [u for u in range(1, qk) if next(x for x in msgs[u] if x) == 1]
+    cap = _window_cap(n, k, c.delta, j)
+    best = cap + 1
+    path = []
 
-    depth_states = min(nu, j) + 1
-    mod = qk**depth_states
-    def block_weight(state):
-        acc = [0] * n
-        x = state
-        for d in range(depth_states):
-            row = tabs[d][x % qk]
-            x //= qk
-            for i in range(n):
-                if row[i]:
-                    acc[i] = F.add(acc[i], row[i])
-        return sum(1 for v in acc if v)
-
-    wtab = None
-    if mod <= _STATE_TABLE_LIMIT:
-        wtab = [block_weight(s) for s in range(mod)]
-
-    best = _window_cap(c, j) + 1
-
-    def rec(depth, state, wsum):
+    def rec(depth, wsum):
         nonlocal best
         if depth > j:
             best = wsum
             return
-        options = canon if depth == 0 else range(qk)
-        base = (state * qk) % mod
-        for u in options:
-            s2 = base + u
-            w = wtab[s2] if wtab is not None else block_weight(s2)
+        # block depth is u G_0 plus the carry sum_{t>=1} u_{depth-t} G_t
+        carry = [0] * n
+        for t in range(1, min(nu, depth) + 1):
+            carry = [F.add(a, b) for a, b in zip(carry, tabs[t][path[-t]])]
+        for u in canon if depth == 0 else range(qk):
+            w = sum(1 for a, b in zip(carry, tabs[0][u]) if F.add(a, b))
             if wsum + w < best:
-                rec(depth + 1, s2, wsum + w)
+                path.append(u)
+                rec(depth + 1, wsum + w)
+                path.pop()
 
-    rec(0, 0, 0)
-    assert best <= _window_cap(c, j), "no window met the distance bound"
+    rec(0, 0)
+    assert best <= cap, "no window met the distance bound"
     return best
 
 
@@ -165,7 +160,7 @@ def _dc_syndrome(c: CodeSpec, j: int, budget: int) -> int:
     F, n = c.field, c.n
     cols = linalg.transpose(Hj.data)
     N = len(cols)
-    cap = _window_cap(c, j)
+    cap = _window_cap(c.n, c.k, c.delta, j)
     spent = 0
     for s in range(cap):
         spent += n * comb(N - 1, s)
@@ -200,7 +195,7 @@ class DistanceProfile:
         return len(self.values) - 1
 
     def bound_at(self, j: int) -> int:
-        return (self.n - self.k) * (j + 1) + 1
+        return _window_cap(self.n, self.k, self.delta, j)
 
     @property
     def strongly_mds(self):
@@ -261,7 +256,7 @@ def is_strongly_mds(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:
 
 def has_mdp_bruteforce(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:
     L, _ = lm_params(c.n, c.k, c.delta)
-    return column_distance(c, L, budget) == (c.n - c.k) * (L + 1) + 1
+    return column_distance(c, L, budget) == _window_cap(c.n, c.k, c.delta, L)
 
 
 def has_mdp_minors(c: CodeSpec) -> bool:

@@ -108,9 +108,6 @@ class FiniteField:
             v = v * self.p + d % self.p
         return v
 
-    def elements(self):
-        return range(self.q)
-
     def __str__(self):
         return f"GF({self.p}^{self.m}; {','.join(str(c) for c in self.modulus)})"
 
@@ -127,11 +124,6 @@ class FiniteField:
         return hash((self.p, self.m, self.modulus))
 
     # --- arithmetic on int encodings -------------------------------------
-
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise BadParams(f"{a} is not an element of {self}")
-        return a
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:

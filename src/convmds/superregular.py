@@ -224,8 +224,9 @@ def search_toeplitz(
 
     Columns are normalized to t_1 = 1 (scaling does not change
     superregularity and a zero t_1 never is).  Exhaustive mode returns the
-    first hit of (t_2, ..., t_l) in lexicographic order; seeded mode draws
-    columns from the xorshift64* stream.
+    first hit of (t_2, ..., t_l) in lexicographic order and raises
+    BudgetExceeded once the minors it was due to check exceed ``budget``;
+    seeded mode draws columns from the xorshift64* stream.
     """
     if l < 1:
         raise BadParams("size must be positive")
@@ -233,10 +234,6 @@ def search_toeplitz(
     if l == 1:
         return LowerToeplitz(field, (1,))
     if mode == "exhaustive":
-        if q ** (l - 1) > budget:
-            raise BudgetExceeded(
-                f"exhaustive search needs {q ** (l - 1)} candidates, budget {budget}"
-            )
         # Depth first in lexicographic order: setting t_k checks level k, and
         # a failed level prunes every column that extends the prefix.  Only
         # t_2 = 1 is explored.  t_2 = 0 fails the 1 x 1 minor (2 | 1).  For
@@ -245,12 +242,19 @@ def search_toeplitz(
         # its minor on (rows | cols) is that of T times a^(sum rows - sum
         # cols), so it is superregular exactly when T is.  Hence if no column
         # with t_2 = 1 is a hit, none is; and as every t_2 = 0 column fails,
-        # the first hit in product order has t_2 = 1.
+        # the first hit in product order has t_2 = 1.  Each candidate t_k
+        # is charged the size of level k against the budget.
         col = [1]
+        spent = 0
 
         def extend(values) -> bool:
+            nonlocal spent
             for v in values:
                 col.append(v)
+                spent += len(minor_level(len(col)))
+                if spent > budget:
+                    raise BudgetExceeded(
+                        f"exhaustive search over budget {budget} at {col}")
                 if _level_ok(field, col) and (len(col) == l or extend(range(q))):
                     return True
                 col.pop()

@@ -1,0 +1,70 @@
+"""Reference message engine for column distances, kept as a test oracle.
+
+This is the state-table form the package's carry-down search replaces.  A
+node's state packs the last min(nu, j) + 1 messages as one base-q^k integer;
+``block_weight`` decodes a state into the weight of its codeword block, and
+when there are at most 2^18 states their weights are tabulated up front.  The
+search order, the normalized first block and the pruning are the same as the
+package's, so both return the same d^c_j and raise at the same budget.
+"""
+
+from convmds import linalg
+from convmds.code import pm_coefficient, pm_memory, window_generator
+from convmds.distances import _message_space, _window_cap
+from convmds.errors import BudgetExceeded, MissingMatrix
+
+_STATE_TABLE_LIMIT = 1 << 18
+
+
+def dc_messages_state_table(c, j, budget):
+    G = window_generator(c)
+    if G is None:
+        raise MissingMatrix("no generator available")
+    F, k, n = c.field, c.k, c.n
+    q = F.q
+    if _message_space(c, j) > budget:
+        raise BudgetExceeded(f"message space {_message_space(c, j)} over budget")
+    nu = pm_memory(G)
+    coeffs = [pm_coefficient(G, t) for t in range(nu + 1)]
+    qk = q**k
+    msgs = [[u // q**i % q for i in range(k)] for u in range(qk)]  # base-q digits
+    tabs = []
+    for t in range(nu + 1):
+        tabs.append([tuple(linalg.vec_mat(F, m, coeffs[t])) for m in msgs])
+    canon = [u for u in range(1, qk) if next(x for x in msgs[u] if x) == 1]
+
+    depth_states = min(nu, j) + 1
+    mod = qk**depth_states
+    def block_weight(state):
+        acc = [0] * n
+        x = state
+        for d in range(depth_states):
+            row = tabs[d][x % qk]
+            x //= qk
+            for i in range(n):
+                if row[i]:
+                    acc[i] = F.add(acc[i], row[i])
+        return sum(1 for v in acc if v)
+
+    wtab = None
+    if mod <= _STATE_TABLE_LIMIT:
+        wtab = [block_weight(s) for s in range(mod)]
+
+    best = _window_cap(n, k, c.delta, j) + 1
+
+    def rec(depth, state, wsum):
+        nonlocal best
+        if depth > j:
+            best = wsum
+            return
+        options = canon if depth == 0 else range(qk)
+        base = (state * qk) % mod
+        for u in options:
+            s2 = base + u
+            w = wtab[s2] if wtab is not None else block_weight(s2)
+            if wsum + w < best:
+                rec(depth + 1, s2, wsum + w)
+
+    rec(0, 0, 0)
+    assert best <= _window_cap(n, k, c.delta, j), "no window met the distance bound"
+    return best

@@ -89,6 +89,11 @@ def test_superregular_search(capsys):
                      "GF(2^2;1,1,1)")
     assert rc == 0
     assert out.strip() == "GF(2^2; 1,1,1) ; 1,1,2"
+    # 32^6 columns exceed the default budget, the minors checked do not
+    rc, out, _ = run(capsys, "superregular", "--search", "7", "--field",
+                     "GF(2^5;1,0,1,0,0,1)")
+    assert rc == 0
+    assert out.strip() == "GF(2^5; 1,0,1,0,0,1) ; 1,1,2,3,8,1,26"
 
 
 def test_superregular_general_search(capsys):

@@ -77,7 +77,7 @@ def synthetic_window(F, n, delta, a, bs):
     h = [series_div(F, b, a, M + 1) for b in bs]
     data = [[1 if s == t else 0 for s in range(M + 1)]
             + [h[w][t] for w in range(n - 1)] for t in range(M + 1)]
-    return SlidingMatrix(F, "systematic", M, 1, n, data)
+    return SlidingMatrix(F, M, n, data)
 
 
 @pytest.mark.parametrize("n, delta", [(3, 3), (4, 4), (3, 5), (4, 5)])

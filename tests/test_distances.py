@@ -3,15 +3,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from convmds.code import sliding_generator
-from convmds.distances import (column_distance, free_distance,
+from convmds.code import sliding_generator, window_generator
+from convmds.distances import (_message_space, column_distance, free_distance,
                                griesmer_feasible, has_mdp_bruteforce,
                                has_mdp_minors, lm_params, profile,
                                singleton_bound)
 from convmds.errors import BadParams, BudgetExceeded, MissingMatrix
-from convmds.fixtures import fixture
+from convmds.fixtures import all_fixtures, fixture
 from convmds.linalg import vec_mat, vec_weight
+from distances_oracle import dc_messages_state_table
+from test_properties import random_codes
+
+ORACLE_BUDGET = 1 << 20
 
 
 def oracle_dc(c, j):
@@ -61,6 +66,37 @@ def test_column_distance_matches_enumeration():
             assert column_distance(c, j, method="messages") == want, (name, j)
             assert column_distance(c, j, method="syndrome") == want, (name, j)
             assert column_distance(c, j) == want, (name, j)
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except BudgetExceeded:
+        return "over budget"
+
+
+def _same_as_state_table(c, j):
+    return (_outcome(column_distance, c, j, ORACLE_BUDGET, "messages")
+            == _outcome(dc_messages_state_table, c, j, ORACLE_BUDGET))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, fx in all_fixtures().items()
+    if window_generator(fx.code) is not None))
+def test_message_engine_matches_state_table_on_fixtures(name):
+    c = fixture(name).code
+    _, M = lm_params(c.n, c.k, c.delta)
+    js = [j for j in range(M + 2) if _message_space(c, j) <= ORACLE_BUDGET]
+    assert js, name
+    for j in js:
+        assert _same_as_state_table(c, j), (name, j)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(random_codes())
+def test_message_engine_matches_state_table_on_random_codes(c):
+    for j in range(4):
+        assert _same_as_state_table(c, j), j
 
 
 def test_column_distance_validation():

@@ -3,6 +3,11 @@
 Every top-level function and class in ``src/convmds`` must be referenced
 somewhere in ``src/`` outside its own body, or be exported in the package's
 ``__all__``.  A helper that only the tests call belongs under ``tests/``.
+
+Every method, property and dataclass field of a class in ``src/convmds``
+must be read as ``.name`` somewhere in ``src/``, ``tests/`` or
+``perfbench/``.  The check goes by name alone, so a member escapes it when
+an unrelated object's attribute of the same name is read.
 """
 
 import ast
@@ -10,13 +15,22 @@ from pathlib import Path
 
 import convmds
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "convmds"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "convmds"
 
 ALLOWED = {
     # perfbench traces it as linalg.in_span; dropping it changes the benchmark
     "in_span",
     # the README's documented way to regenerate the fixtures/ directory
     "write_fixture_files",
+}
+
+MEMBERS_ALLOWED = {
+    # the systematic window the code was solved from; the construction
+    # returns it so a caller can inspect the step without rebuilding it
+    "ConstructionTrace.hhat",
+    # every failing cycle as (j, kind); status names only the first
+    "DecodeReport.failures",
 }
 
 
@@ -57,3 +71,47 @@ def test_every_definition_is_used_or_exported():
 
 def test_allowlist_entries_are_still_unreferenced():
     assert {name for _, name in unreferenced_definitions()} == ALLOWED
+
+
+def _is_dataclass(cls) -> bool:
+    for deco in cls.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _members(cls):
+    """Methods, properties and (for a dataclass) fields, dunders aside."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and _is_dataclass(cls):
+            name = node.target.id
+        else:
+            continue
+        if not (name.startswith("__") and name.endswith("__")):
+            yield name
+
+
+def unread_members() -> list:
+    """Class.member of each member no ``.member`` read names."""
+    reads = {node.attr
+             for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{name}"
+            for path in sorted(SRC.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef)
+            for name in _members(cls) if name not in reads]
+
+
+def test_every_member_is_read():
+    assert [m for m in unread_members() if m not in MEMBERS_ALLOWED] == []
+
+
+def test_member_allowlist_entries_are_still_unread():
+    assert set(unread_members()) == MEMBERS_ALLOWED

@@ -120,7 +120,7 @@ def test_least_gf2m_goldens_for_7x7_and_8x8():
     F = standard_field(32)
     col = (1, 1, 2, 6, 5, 30, 31, 1)
     assert is_superregular(toeplitz(F, col)) and superregular_column(F, col)
-    assert search_toeplitz(7, F, budget=1 << 40).col == (1, 1, 2, 3, 8, 1, 26)
+    assert search_toeplitz(7, F).col == (1, 1, 2, 3, 8, 1, 26)
 
 
 def test_check_matches_oracle_on_random_columns():
@@ -182,6 +182,12 @@ def test_known_misses_and_budget():
     assert search_toeplitz(5, standard_field(4)) is None
     with pytest.raises(BudgetExceeded):
         search_toeplitz(9, standard_field(32), budget=1000)
+    # each candidate t_k is charged the size of level k as the search runs:
+    # 3,801 minors up to the first 7/GF(32) hit, not 32^6 columns up front
+    F = standard_field(32)
+    assert search_toeplitz(7, F, budget=3801).col == (1, 1, 2, 3, 8, 1, 26)
+    with pytest.raises(BudgetExceeded):
+        search_toeplitz(7, F, budget=3800)
 
 
 def test_integer_positivity_matches_oracle():
