@@ -122,19 +122,22 @@ def _syndrome_series(F: FiniteField, symbols, parity, length: int):
 # --- the leading error block ----------------------------------------------
 
 
-def _eta_solutions(F: FiniteField, window, S, t: int, budget: int):
+def _window_plan(c: CodeSpec, M: int) -> linalg.SpanPlan:
+    """The span plan over the columns of the length-(M+1) parity window."""
+    return linalg.SpanPlan(c.field, linalg.transpose(sliding_parity(c, M).data))
+
+
+def _eta_solutions(plan: linalg.SpanPlan, S, t: int, budget: int):
     """All minimum-support windows eta with eta * window^T = S and wt <= t.
 
-    Supports are scanned in ascending size, lexicographically within a size.
-    Each size charges all comb(cols, size) candidate supports to the budget
-    before it runs.  Returns (size, solutions as full tuples); no solution
-    gives (t, []).
+    The plan holds the window's columns.  Supports are scanned in ascending
+    size, lexicographically within a size.  Each size charges all
+    comb(cols, size) candidate supports to the budget before it runs.
+    Returns (size, solutions as full tuples); no solution gives (t, []).
     """
-    rows = len(window)
-    cols = len(window[0]) if rows else 0
+    cols = len(plan.vectors)
     if not any(S):
         return 0, [tuple([0] * cols)]
-    columns = [[window[r][ci] for r in range(rows)] for ci in range(cols)]
     spent = 0
     for size in range(1, t + 1):
         spent += comb(cols, size)
@@ -142,7 +145,7 @@ def _eta_solutions(F: FiniteField, window, S, t: int, budget: int):
             raise BudgetExceeded(
                 f"syndrome search exceeded {budget} candidate supports")
         found = []
-        for subset, coeffs in linalg.span_supports(F, columns, S, size):
+        for subset, coeffs in plan.supports(S, size):
             eta = [0] * cols
             for ci, val in zip(subset, coeffs):
                 eta[ci] = val
@@ -153,13 +156,15 @@ def _eta_solutions(F: FiniteField, window, S, t: int, budget: int):
 
 
 def solve_eta0(S, c: CodeSpec, t: int | None = None,
-               budget: int = DEFAULT_SOLVE_BUDGET, window=None):
+               budget: int = DEFAULT_SOLVE_BUDGET, plan=None):
     """The leading length-n error block shared by all light syndrome matches.
 
     Searches every eta in F^((M+1)n) of weight at most t with
     S = eta * (parity window)^T, smallest supports first.  All matches of
     minimum support must agree on the first block (and on the second when M
-    is even); the shared first block is returned.
+    is even); the shared first block is returned.  ``plan`` is the window's
+    span plan from an earlier call with the same code and M; without one a
+    fresh plan is built.
     """
     if c.k != c.n - 1:
         raise NotRateNMinus1("syndrome solving needs k = n-1")
@@ -168,10 +173,9 @@ def solve_eta0(S, c: CodeSpec, t: int | None = None,
     M = len(S) - 1
     if t is None:
         t = (M + 1) // 2
-    if window is None:
-        window = sliding_parity(c, M).data
-    F = c.field
-    _, sols = _eta_solutions(F, window, list(S), t, budget)
+    if plan is None:
+        plan = _window_plan(c, M)
+    _, sols = _eta_solutions(plan, list(S), t, budget)
     if not sols:
         raise NoSolution(f"no error window of weight <= {t} matches the syndrome")
     first = sols[0]
@@ -219,7 +223,6 @@ class DecodeReport:
     decoded: tuple
     cycles: list
     status: str
-    failures: tuple = ()
     matched: bool | None = None
     constraint_ok: bool | None = None
 
@@ -246,7 +249,9 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
     advances.  Every systematic pivot is tried for the weight shortcut before
     the support search runs.  Cycles whose window reaches past the horizon
     are flagged as tail cycles; unresolved cycles are recorded and skipped
-    with a zero correction rather than aborting.
+    with a zero correction rather than aborting, and the first one names the
+    status.  The search cycles share one span plan of the parity window,
+    built on the first of them.
 
     With ``paranoid`` set, shortcut answers are cross-checked against the
     support search and any disagreement raises Ambiguous.
@@ -266,9 +271,9 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
     pivots = [i for i in range(n) if poly_coef(parity[i], 0)]
     word = [list(row) for row in vhat.symbols] + [[0] * n for _ in range(M)]
     syn = _syndrome_series(F, word, parity, T + M + 1)
-    par_window = sliding_parity(c, M).data
+    plan = None
     cycles = []
-    failures = []
+    status = "success"
     for j in range(T + 1):
         S = syn[j:j + M + 1]
         sw = linalg.vec_weight(S)
@@ -284,17 +289,20 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
                     eta0[i] = hit[0]
                     method = f"shortcut:{i}"
                     break
+            if paranoid or not method:
+                plan = plan or _window_plan(c, M)
             if method and paranoid:
-                if solve_eta0(S, c, t, budget, par_window) != eta0:
+                if solve_eta0(S, c, t, budget, plan) != eta0:
                     raise Ambiguous(
                         f"cycle {j}: shortcut disagrees with the support search")
             if not method:
                 method = "search"
                 try:
-                    eta0 = solve_eta0(S, c, t, budget, par_window)
+                    eta0 = solve_eta0(S, c, t, budget, plan)
                 except (NoSolution, Ambiguous) as exc:
                     kind = exc.code.lower()
-                    failures.append((j, kind))
+                    if status == "success":
+                        status = f"{kind}({j})"
                     method = f"failed:{kind}"
                     eta0 = [0] * n
         for i in range(n):
@@ -305,12 +313,8 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
                     if coef and j + d < len(syn):
                         syn[j + d] = F.sub(syn[j + d], F.mul(e, coef))
         cycles.append(CycleRecord(j, sw, method, tuple(eta0), j > T - M))
-    if failures:
-        status = f"{failures[0][1]}({failures[0][0]})"
-    else:
-        status = "success"
     decoded = tuple(tuple(row) for row in word[:T + 1])
-    return DecodeReport(F, n, M, t, decoded, cycles, status, tuple(failures))
+    return DecodeReport(F, n, M, t, decoded, cycles, status)
 
 
 # --- error channels -------------------------------------------------------

@@ -6,7 +6,10 @@ Everything here is plain Gaussian elimination sized for desk-scale problems
 search behind the column distances, the construction certificate and the
 decoder: it reduces incrementally along a depth-first walk instead of
 eliminating afresh for every index set, because those searches spend their
-time in it.
+time in it.  ``SpanPlan`` is the same walk for one fixed list of vectors and
+many targets, as in the decoder's search cycles: it keeps the prefix nodes
+it builds and answers the last level of a walk with one dict lookup.  The
+exactness argument in ``span_supports`` covers it.
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ def span_supports(F: FiniteField, vectors, target, size: int):
     multiple of a dependency on P zeroes one coefficient, so target lies in
     the span of a strictly smaller set.  Hence the least size that yields
     anything is the least number of vectors whose span holds the target, and
-    every support of that size is independent.
+    every support of that size is independent.  ``SpanPlan.supports`` yields
+    the same sets in the same order, so the argument covers it too.
     """
     vectors = [list(v) for v in vectors]
     target = list(target)
@@ -182,6 +186,96 @@ def span_supports(F: FiniteField, vectors, target, size: int):
 
     if size:
         yield from walk(0, vectors, target)
+
+
+class SpanPlan:
+    """``span_supports`` over one fixed list of vectors, for many targets.
+
+    The prefix nodes of the depth-first walk do not depend on the target, so
+    the plan builds each node on its first visit and keeps it.  A node holds
+    the later vectors reduced against its prefix's echelon basis, each one
+    that does not vanish normalised to a leading entry of 1, and indexes them
+    by that normalised vector.  The prefix plus vector i spans the target
+    exactly when the target's residual is a multiple of vector i's, that is
+    when the normalised residual equals vector i's key; so the last level of
+    a walk is one dict lookup instead of a reduction per leaf.
+    """
+
+    def __init__(self, F: FiniteField, vectors):
+        self.F = F
+        self.vectors = [list(v) for v in vectors]
+        self.root = self._node((), enumerate(self.vectors))
+
+    def _node(self, prefix, later):
+        """The node of a prefix, from (index, reduced vector) pairs past it.
+
+        Returns (prefix, moves, keys, children): moves lists (i, v, p) for
+        each nonzero v, normalised so that v[p] = 1 at its first nonzero p;
+        keys maps each normalised v to its indices in ascending order;
+        children fills in as the walk first reaches each child.
+        """
+        F = self.F
+        moves, keys = [], {}
+        for i, v in later:
+            p = next((c for c, x in enumerate(v) if x), None)
+            if p is None:
+                continue  # depends on the prefix
+            if v[p] != 1:
+                inv = F.inv(v[p])
+                v = [F.mul(inv, x) for x in v]
+            moves.append((i, v, p))
+            keys.setdefault(tuple(v), []).append(i)
+        return prefix, moves, keys, {}
+
+    def _child(self, node, i, v, p):
+        """The node of the prefix plus move (i, v, p), built on first use."""
+        prefix, moves, _, children = node
+        if i not in children:
+            F = self.F
+            children[i] = self._node(prefix + (i,), (
+                (j, [F.sub(x, F.mul(u[p], y)) for x, y in zip(u, v)]
+                 if u[p] else u)
+                for j, u, _ in moves if j > i))
+        return children[i]
+
+    def supports(self, target, size: int):
+        """Exactly what ``span_supports(F, vectors, target, size)`` yields."""
+        target = list(target)
+        if not any(target):
+            if size == 0:
+                yield (), []
+            return
+        if size:
+            yield from self._walk(self.root, target, target, size)
+
+    def _walk(self, node, rest, target, size):
+        # rest is the target reduced against the node's prefix, never zero.
+        # A method, not a nested function: a closure that calls itself is a
+        # reference cycle, which would keep the plan alive after a decode
+        # until the cycle collector runs.
+        F, vectors = self.F, self.vectors
+        mul, sub = F.mul, F.sub
+        prefix, moves, keys, _ = node
+        if len(prefix) + 1 == size:
+            p = next(c for c, x in enumerate(rest) if x)
+            inv = F.inv(rest[p])
+            for i in keys.get(tuple([mul(inv, x) for x in rest]), ()):
+                pick = prefix + (i,)
+                A = [[vectors[j][row] for j in pick]
+                     for row in range(len(target))]
+                coeffs = solve(F, A, target)[0]
+                if all(coeffs):
+                    yield pick, coeffs
+            return
+        end = len(vectors) - size + len(prefix) + 1
+        for i, v, p in moves:
+            if i >= end:
+                break
+            f = rest[p]
+            r = [sub(x, mul(f, y)) for x, y in zip(rest, v)] if f else rest
+            if any(r):  # a prefix that spans the target is not extended
+                yield from self._walk(self._child(node, i, v, p), r, target,
+                                      size)
 
 
 def det_bareiss(A):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from convmds import linalg
 from convmds.decoder import (MAX_LENGTH, channel_trials, encode_word,
                              feedback_decode, format_received_file,
                              load_received, make_error_pattern, make_received,
@@ -213,6 +214,46 @@ def test_feedback_decode_rejects_a_word_that_does_not_fit_the_code():
     with pytest.raises(ShapeMismatch):
         feedback_decode(make_received(F8, [(1, 2, 3)] * 8),
                         fixture(walk["code"]).code)
+
+
+def test_search_cycles_share_one_span_plan(monkeypatch):
+    """A decode builds each prefix node of its span plan at most once."""
+    built = []
+    node = linalg.SpanPlan._node
+
+    def spy(plan, prefix, later):
+        built.append(prefix)
+        return node(plan, prefix, later)
+
+    monkeypatch.setattr(linalg.SpanPlan, "_node", spy)
+    c = fixture("smds_2_1_3_q32").code
+    _, M = lm_params(c.n, c.k, c.delta)
+    horizon = 12 + 2 * M
+    err = make_error_pattern(c.field, horizon + 1, c.n, M, (M + 1) // 2,
+                             seed=1, adversarial=True)
+    rep = simulate(c, [()] * c.k, err, horizon)
+    methods = [y.method.split(":")[0] for y in rep.cycles]
+    assert methods.count("search") == 2 and methods.count("failed") == 6
+    # 8 search cycles over 14 columns with t = 3 reach the root, its 14
+    # children and their children
+    assert built.count(()) == 1
+    assert len(built) == len(set(built)) > 15
+    built.clear()
+    clean = make_error_pattern(c.field, horizon + 1, c.n, M, 0, seed=1)
+    assert simulate(c, [()] * c.k, clean, horizon).ok and built == []
+
+
+@pytest.mark.parametrize("fx", decodable_fixtures(), ids=lambda fx: fx.name)
+def test_paranoid_reports_match_the_default_path(fx):
+    """The paranoid cross-checks share the search's plan and change nothing."""
+    c = fx.code
+    _, M = lm_params(c.n, c.k, c.delta)
+    horizon = 12 + 2 * M
+    trials = [*channel_trials(c, 100, 0, horizon),
+              *channel_trials(c, 20, 1000, horizon)]
+    for msg, err in trials:
+        assert repr(simulate(c, msg, err, horizon, paranoid=True)) == \
+            repr(simulate(c, msg, err, horizon))
 
 
 def test_error_pattern_compliant_windows():

@@ -1,22 +1,27 @@
-"""Property tests: the error contract, file round trips and the saturating
-profile.
+"""Property tests: the error contract, file round trips, the saturating
+profile, the field axioms and zero syndromes on codewords.
 
 Every run is derandomized, so a failure reproduces on the next run.
 """
 
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convmds.code import (basic_degree, dual, format_code_file, make_code,
-                          parse_code_file, pm_make)
-from convmds.decoder import (feedback_decode, format_received_file,
-                             make_received, parse_received_file)
+                          parse_code_file, pm_make, pm_memory,
+                          window_generator)
+from convmds.decoder import (encode_word, feedback_decode,
+                             format_received_file, make_received,
+                             parse_received_file)
 from convmds.distances import column_distance, lm_params, profile
 from convmds.errors import CodingError, RankDeficient
-from convmds.fixtures import fixture
+from convmds.fixtures import all_fixtures, fixture, reference_toeplitz
 from convmds.galois import parse_field, standard_field
+from convmds.selftest import decodable_fixtures
+from decoder_oracle import window_syndrome
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 SAMPLES = [FIX / "smds_3_2_2_q16.code", FIX / "smds_2_1_2_q8.code",
@@ -177,3 +182,42 @@ def test_saturating_profile_matches_per_j_oracle(pair):
     else:
         assert (fd.value, fd.status) == (prof.singleton, "exact")
         assert first >= prof.M
+
+
+BUNDLED_FIELDS = sorted({fx.code.field for fx in all_fixtures().values()}
+                        | {T.field for T in reference_toeplitz()},
+                        key=lambda F: F.q)
+
+
+@pytest.mark.parametrize("F", BUNDLED_FIELDS, ids=lambda F: f"q{F.q}")
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_axioms_on_bundled_fields(F, data):
+    a, b, c = data.draw(st.lists(st.integers(0, F.q - 1),
+                                 min_size=3, max_size=3))
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.add(a, b) == F.add(b, a) and F.mul(a, b) == F.mul(b, a)
+    assert F.add(a, 0) == a == F.mul(a, 1)
+    assert F.add(a, F.neg(a)) == 0
+    assert F.sub(a, b) == F.add(a, F.neg(b)) and F.add(F.sub(a, b), b) == a
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
+    if b:
+        assert F.div(a, b) == F.mul(a, F.inv(b)) and F.mul(F.div(a, b), b) == a
+
+
+@pytest.mark.parametrize("name", [fx.name for fx in decodable_fixtures()])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_encoded_words_have_zero_window_syndromes(name, data):
+    c = fixture(name).code
+    _, M = lm_params(c.n, c.k, c.delta)
+    coef = st.integers(0, c.field.q - 1)
+    msg = data.draw(st.lists(st.lists(coef, max_size=5).map(tuple),
+                             min_size=c.k, max_size=c.k))
+    length = 5 + pm_memory(window_generator(c)) + M
+    w = encode_word(c, msg, length)
+    for j in range(length - M):
+        assert window_syndrome(w, c, j) == [0] * (M + 1), j

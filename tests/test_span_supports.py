@@ -3,7 +3,9 @@
 The oracles below are the plain searches that the distance engine, the
 construction certificate, the superregular battery and the decoder ran
 before ``linalg.span_supports`` existed: every index set of a given size,
-one full ``in_span`` or ``solve`` per set.
+one full ``in_span`` or ``solve`` per set.  ``linalg.SpanPlan``, the walk
+the decoder keeps across its search cycles, must yield exactly what
+``span_supports`` yields.
 """
 
 import itertools
@@ -13,10 +15,13 @@ import pytest
 
 from convmds.code import sliding_parity, window_parity
 from convmds.decoder import _eta_solutions
+from convmds.distances import lm_params
 from convmds.errors import BudgetExceeded
 from convmds.fixtures import all_fixtures
 from convmds.galois import standard_field
-from convmds.linalg import in_span, solve, span_supports, transpose
+from convmds.linalg import (SpanPlan, in_span, solve, span_supports,
+                            transpose, vec_mat)
+from convmds.selftest import decodable_fixtures
 
 FIELDS = (2, 3, 4, 8)
 ORACLE_CALLS = 1 << 13  # largest subset loop run on a fixture window
@@ -189,8 +194,57 @@ def test_eta_solutions_match_null_space_oracle(seed):
         S = random_target(rng, F, transpose(window))
         t = rng.randint(1, min(count, 4))
         want = eta_solutions_oracle(F, window, S, t, budget=1 << 20)
-        assert _eta_solutions(F, window, S, t, budget=1 << 20) == want, \
+        plan = SpanPlan(F, transpose(window))
+        assert _eta_solutions(plan, S, t, budget=1 << 20) == want, \
             (F.q, window, S, t)
         hits += bool(want[1])
     assert hits > 100
 
+
+def test_span_plan_matches_span_supports_and_oracle():
+    """One plan per window answers many targets, sizes in mixed order.
+
+    Targets repeat and sizes come shuffled, so later walks run through the
+    nodes an earlier walk built and kept.
+    """
+    rng = random.Random(31)
+    compared = 0
+    for case in range(150):
+        F = standard_field(FIELDS[case % len(FIELDS)])
+        cols = random_columns(rng, F, rng.randint(2, 5), rng.randint(3, 8))
+        plan = SpanPlan(F, cols)
+        targets = [random_target(rng, F, cols) for _ in range(4)]
+        for target in targets + rng.sample(targets, 2):
+            sizes = list(range(len(cols) + 1))
+            rng.shuffle(sizes)
+            for size in sizes:
+                got = list(plan.supports(target, size))
+                assert got == list(span_supports(F, cols, target, size)) == \
+                    supports_oracle(F, cols, target, size), \
+                    (F.q, cols, target, size)
+                compared += 1
+    assert compared > 3000
+
+
+@pytest.mark.parametrize("fx", decodable_fixtures(), ids=lambda fx: fx.name)
+def test_span_plan_on_decodable_parity_windows(fx):
+    """Syndromes of random error windows of weight <= t, sizes 0..t."""
+    c = fx.code
+    F = c.field
+    _, M = lm_params(c.n, c.k, c.delta)
+    t = (M + 1) // 2
+    cols = transpose(sliding_parity(c, M).data)
+    plan = SpanPlan(F, cols)
+    rng = random.Random(41)
+    hits = 0
+    for _ in range(40):
+        eta = [0] * len(cols)
+        for i in rng.sample(range(len(cols)), rng.randint(1, t)):
+            eta[i] = 1 + rng.randrange(F.q - 1)
+        S = vec_mat(F, eta, cols)
+        for size in rng.sample(range(t + 1), t + 1):
+            got = list(plan.supports(S, size))
+            assert got == list(span_supports(F, cols, S, size)) == \
+                supports_oracle(F, cols, S, size), (S, size)
+            hits += bool(got)
+    assert hits >= 40

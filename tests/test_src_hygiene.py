@@ -29,8 +29,6 @@ MEMBERS_ALLOWED = {
     # the systematic window the code was solved from; the construction
     # returns it so a caller can inspect the step without rebuilding it
     "ConstructionTrace.hhat",
-    # every failing cycle as (j, kind); status names only the first
-    "DecodeReport.failures",
 }
 
 
