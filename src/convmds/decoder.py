@@ -254,7 +254,8 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
     built on the first of them.
 
     With ``paranoid`` set, shortcut answers are cross-checked against the
-    support search and any disagreement raises Ambiguous.
+    support search and any disagreement raises Ambiguous; a shortcut cycle
+    whose search finds no unique match is recorded as failed, as above.
     """
     if vhat.field != c.field:
         raise FieldMismatch(f"received word over {vhat.field}, code over {c.field}")
@@ -291,20 +292,20 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
                     break
             if paranoid or not method:
                 plan = plan or _window_plan(c, M)
-            if method and paranoid:
-                if solve_eta0(S, c, t, budget, plan) != eta0:
-                    raise Ambiguous(
-                        f"cycle {j}: shortcut disagrees with the support search")
-            if not method:
-                method = "search"
                 try:
-                    eta0 = solve_eta0(S, c, t, budget, plan)
+                    found = solve_eta0(S, c, t, budget, plan)
                 except (NoSolution, Ambiguous) as exc:
                     kind = exc.code.lower()
                     if status == "success":
                         status = f"{kind}({j})"
                     method = f"failed:{kind}"
-                    eta0 = [0] * n
+                    found = [0] * n
+                else:
+                    if method and found != eta0:
+                        raise Ambiguous(f"cycle {j}: shortcut disagrees "
+                                        "with the support search")
+                    method = method or "search"
+                eta0 = found
         for i in range(n):
             e = eta0[i]
             if e:

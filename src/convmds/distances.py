@@ -8,8 +8,14 @@ cross-checked in the test suite:
   normalized so its first nonzero coordinate is 1.  Block i of the codeword
   is the sum of u_{i-t} G_t over t <= min(nu, i), so a node adds the blocks
   its path carries into block i (t >= 1) once, and weighs each child u as
-  that carry plus u G_0, read from per-message tables of u G_t.  A child is
-  entered only while the weight so far stays below the best window found;
+  that carry x plus u G_0, read from per-message tables of u G_t.  A child is
+  entered only while the weight so far stays below the best window found.
+  The last block needs no child loop.  Coordinate i of x + u G_0 vanishes
+  exactly when (u G_0)_i = -x_i, and the messages with that value (a coset
+  of the kernel of u -> (u G_0)_i, or none) are kept as one bit mask.  So
+  the lightest last block has weight n - z for the most coordinates z whose
+  masks intersect, found by trying z downwards while n - z still beats the
+  best window;
 * parity search: d^c_j = 1 + min s such that some column of the parity
   window among the first n lies in the span of s of the other columns.
 
@@ -18,16 +24,24 @@ Singleton bound, which every column distance obeys.  A search whose candidate
 count exceeds the budget (default 2^28) raises BudgetExceeded instead of
 silently grinding.
 
-``profile`` is the one loop over j.  Once d^c_j meets the Singleton bound
-every later value equals it, so the rest is filled in without a search (proof
-in ``profile``).  The free distance is read from the profile: exact at the
-first j that meets the bound, otherwise d^c_horizon as a lower bound.
+``profile`` is the one loop over j.  Column distances never decrease
+(truncating a window to [0, j-1] keeps u_0 != 0 and cannot add weight), so
+it hands d^c_{j-1} to the search at j as a proven floor: the parity search
+skips the span sizes below it, though it still charges them to the budget,
+and the message search stops once a window meets it.  Once d^c_j meets the
+Singleton bound every later value equals it, so the rest is filled in
+without a search (proof in ``profile``).  The free distance is read from the
+profile: exact at the first j that meets the bound, otherwise d^c_horizon as
+a lower bound.
 
 Classification: a code is strongly MDS when d^c_M meets the Singleton bound
 at M = floor(delta/k) + ceil(delta/(n-k)), and has a maximum distance profile
 (MDP) when d^c_L = (n-k)(L+1)+1 at L = floor(delta/k) + floor(delta/(n-k)).
 The MDP property also has a determinantal test on a single sliding matrix
-(generator or parity side), used as an independent route.
+(generator or parity side), used as an independent route.  It walks the
+admissible column picks depth first and stops at the first column that
+depends on the chosen prefix, as a dependent prefix zeroes every full-size
+minor that completes it.
 """
 
 from __future__ import annotations
@@ -87,8 +101,12 @@ def _syndrome_space(c: CodeSpec, j: int) -> int:
 
 
 def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
-                    method: str = "auto") -> int:
-    """Exact j-th column distance of the code."""
+                    method: str = "auto", at_least: int = 0) -> int:
+    """Exact j-th column distance of the code.
+
+    ``at_least`` is a proven lower bound on d^c_j, such as d^c_{j-1}; the
+    engines skip the work it rules out.  A bound above d^c_j is not caught.
+    """
     if j < 0:
         raise BadParams("window index must be nonnegative")
     gen_ok = window_generator(c) is not None
@@ -96,9 +114,9 @@ def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
     if not gen_ok and not par_ok:
         raise MissingMatrix("code carries no usable matrix")
     if method == "messages":
-        return _dc_messages(c, j, budget)
+        return _dc_messages(c, j, budget, at_least)
     if method == "syndrome":
-        return _dc_syndrome(c, j, budget)
+        return _dc_syndrome(c, j, budget, at_least)
     if method != "auto":
         raise BadParams(f"unknown method {method!r}")
     costs = []
@@ -112,50 +130,97 @@ def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
         raise BudgetExceeded(
             f"column distance at j={j} needs {cost} candidates, budget {budget}"
         )
-    return run(c, j, budget)
+    return run(c, j, budget, at_least)
 
 
-def _dc_messages(c: CodeSpec, j: int, budget: int) -> int:
+def _dc_messages(c: CodeSpec, j: int, budget: int, at_least: int) -> int:
     G = window_generator(c)
     if G is None:
         raise MissingMatrix("no generator available")
-    F, k, n = c.field, c.k, c.n
-    q = F.q
     if _message_space(c, j) > budget:
         raise BudgetExceeded(f"message space {_message_space(c, j)} over budget")
-    nu = pm_memory(G)
-    qk = q**k
-    msgs = [[u // q**i % q for i in range(k)] for u in range(qk)]  # base-q digits
-    # tabs[t][u] = u G_t, the share of message u in the block t steps later
-    tabs = [[linalg.vec_mat(F, m, pm_coefficient(G, t)) for m in msgs]
-            for t in range(nu + 1)]
-    canon = [u for u in range(1, qk) if next(x for x in msgs[u] if x) == 1]
-    cap = _window_cap(n, k, c.delta, j)
-    best = cap + 1
-    path = []
+    cap = _window_cap(c.n, c.k, c.delta, j)
+    search = _MessageSearch(c.field, G, j, cap + 1, at_least)
+    search.descend(0, 0)
+    assert search.best <= cap, "no window met the distance bound"
+    return search.best
 
-    def rec(depth, wsum):
-        nonlocal best
-        if depth > j:
-            best = wsum
-            return
+
+class _MessageSearch:
+    """The message engine's depth-first search for one window [0, j].
+
+    ``path`` holds the messages chosen so far and ``best`` the lightest
+    window found.  An object, not a nested function, so that the search
+    leaves no reference cycle behind.
+    """
+
+    def __init__(self, F, G, j, best, floor):
+        q, k = F.q, G.rows
+        self.F, self.n, self.j, self.qk = F, G.cols, j, q**k
+        self.best, self.floor, self.path = best, floor, []
+        self.nu = min(pm_memory(G), j)
+        msgs = [[u // q**i % q for i in range(k)]  # base-q digits
+                for u in range(self.qk)]
+        self.canon = [u for u in range(1, self.qk)
+                      if next(x for x in msgs[u] if x) == 1]
+        # tabs[t][u] = u G_t, the share of message u in the block t steps later
+        self.tabs = [[linalg.vec_mat(F, m, pm_coefficient(G, t)) for m in msgs]
+                     for t in range(self.nu + 1)]
+        # hit[i][a] has bit u set when (u G_0)_i = a
+        self.hit = [[0] * q for _ in range(self.n)]
+        for u, row in enumerate(self.tabs[0]):
+            for i, a in enumerate(row):
+                self.hit[i][a] |= 1 << u
+
+    def child_weights(self, carry):
+        """wt(carry + u G_0) for every message u."""
+        add = self.F.add
+        return [sum(1 for a, b in zip(carry, row) if add(a, b))
+                for row in self.tabs[0]]
+
+    def descend(self, depth, wsum):
+        """Search below the path's node, whose blocks so far weigh wsum."""
+        F, path = self.F, self.path
         # block depth is u G_0 plus the carry sum_{t>=1} u_{depth-t} G_t
-        carry = [0] * n
-        for t in range(1, min(nu, depth) + 1):
-            carry = [F.add(a, b) for a, b in zip(carry, tabs[t][path[-t]])]
-        for u in canon if depth == 0 else range(qk):
-            w = sum(1 for a, b in zip(carry, tabs[0][u]) if F.add(a, b))
-            if wsum + w < best:
+        carry = [0] * self.n
+        for t in range(1, min(self.nu, depth) + 1):
+            carry = [F.add(a, b) for a, b in zip(carry, self.tabs[t][path[-t]])]
+        if depth == self.j:
+            allowed = sum(1 << u for u in self.canon) if depth == 0 else -1
+            self.best = wsum + self.lightest(carry, allowed,
+                                             self.best - wsum)
+            return
+        weights = self.child_weights(carry)
+        for u in self.canon if depth == 0 else range(self.qk):
+            w = weights[u]
+            if wsum + w < self.best:
                 path.append(u)
-                rec(depth + 1, wsum + w)
+                self.descend(depth + 1, wsum + w)
                 path.pop()
+                if self.best == self.floor:
+                    return  # d^c_j >= floor, so nothing lighter exists
 
-    rec(0, 0)
-    assert best <= cap, "no window met the distance bound"
-    return best
+    def lightest(self, carry, allowed, room):
+        """min wt(carry + u G_0) over the messages u in ``allowed`` (a bit
+        mask, -1 for all) if below ``room``, else room: n - z for the most
+        coordinates z whose masks hit[i][-carry_i] meet inside ``allowed``.
+        """
+        n, neg = self.n, self.F.neg
+        masks = [m for m in (h[neg(x)] & allowed
+                             for h, x in zip(self.hit, carry)) if m]
+        for z in range(len(masks), max(n - room, -1), -1):
+            for pick in itertools.combinations(masks, z):
+                meet = allowed
+                for m in pick:
+                    meet &= m
+                    if not meet:
+                        break
+                if meet:
+                    return n - z
+        return room
 
 
-def _dc_syndrome(c: CodeSpec, j: int, budget: int) -> int:
+def _dc_syndrome(c: CodeSpec, j: int, budget: int, at_least: int) -> int:
     Hj = sliding_parity(c, j)
     F, n = c.field, c.n
     cols = linalg.transpose(Hj.data)
@@ -166,6 +231,8 @@ def _dc_syndrome(c: CodeSpec, j: int, budget: int) -> int:
         spent += n * comb(N - 1, s)
         if spent > budget:
             raise BudgetExceeded(f"syndrome search at j={j} over budget {budget}")
+        if s + 1 < at_least:
+            continue  # charged all the same, so the budget fails where it did
         for t in range(n):
             # s grows from 0, so the first s with any support is the least
             if any(linalg.span_supports(F, cols[:t] + cols[t + 1:], cols[t], s)):
@@ -236,7 +303,8 @@ def profile(c: CodeSpec, horizon: int | None = None,
     sing = singleton_bound(c.n, c.k, c.delta)
     values = []
     for j in range(horizon + 1):
-        values.append(column_distance(c, j, budget))
+        floor = values[-1] if values else 0  # d^c_{j-1} <= d^c_j
+        values.append(column_distance(c, j, budget, at_least=floor))
         if values[-1] == sing:
             values += [sing] * (horizon - j)
             break
@@ -268,35 +336,62 @@ def has_mdp_minors(c: CodeSpec) -> bool:
     of the parity window from columns i_1 < ... < i_{(L+1)(n-k)} with
     i_{s(n-k)} <= sn is nonzero.  Uses whichever matrix the code stores
     (generator preferred).
+
+    A minor is nonzero iff its columns are independent, so the admissible
+    picks are walked depth first, the chosen prefix kept as an echelon basis.
+    The per-index bounds are tightened so that a prefix is entered only when
+    some admissible pick completes it.  A column that depends on the prefix
+    then zeroes every completion's minor, and one such minor decides False;
+    a walk that meets none has seen every admissible pick independent.
     """
     L, _ = lm_params(c.n, c.k, c.delta)
-    F = c.field
+    N = (L + 1) * c.n
     if c.gen is not None:
-        W = sliding_generator(c, L)
-        size = (L + 1) * c.k
-        step, upper = c.k, True
+        W, size = sliding_generator(c, L), (L + 1) * c.k
     elif c.par is not None:
-        W = sliding_parity(c, L)
-        size = (L + 1) * (c.n - c.k)
-        step, upper = c.n - c.k, False
+        W, size = sliding_parity(c, L), (L + 1) * (c.n - c.k)
     else:
         raise MissingMatrix("code carries no matrix")
-    N = (L + 1) * c.n
-    for pick in itertools.combinations(range(1, N + 1), size):
-        ok = True
-        for s in range(1, L + 1):
-            if upper:
-                if pick[s * step] <= s * c.n:  # 1-based j_{sk+1}
-                    ok = False
-                    break
-            else:
-                if pick[s * step - 1] > s * c.n:  # 1-based i_{s(n-k)}
-                    ok = False
-                    break
-        if not ok:
+    lo, hi = [0] * size, [N - 1] * size  # 0-based columns of each pick
+    for s in range(1, L + 1):
+        if c.gen is not None:
+            lo[s * c.k] = s * c.n  # j_{sk+1} > sn
+        else:
+            hi[s * (c.n - c.k) - 1] = s * c.n - 1  # i_{s(n-k)} <= sn
+    # picks increase; with k < n these bounds leave lo[p] <= hi[p] everywhere
+    for p in range(1, size):
+        lo[p] = max(lo[p], lo[p - 1] + 1)
+    for p in range(size - 2, -1, -1):
+        hi[p] = min(hi[p], hi[p + 1] - 1)
+    cols = list(enumerate(linalg.transpose(W.data)))  # W has size rows
+    return _picks_independent(c.field, cols, 0, lo, hi)
+
+
+def _picks_independent(F, cols, p, lo, hi) -> bool:
+    """Are all admissible completions of a prefix of p picks independent?
+
+    cols lists (index, column reduced against the prefix's echelon basis) for
+    the columns after the prefix's last pick from lo[p] on.
+    """
+    last = p + 1 == len(lo)
+    for at, (col, v) in enumerate(cols):
+        if col > hi[p]:
+            break
+        piv = next((r for r, x in enumerate(v) if x), None)
+        if piv is None:
+            return False  # the prefix and col are dependent
+        if last:
             continue
-        sub = [[W.data[r][col - 1] for col in pick] for r in range(size)]
-        if linalg.mat_det(F, sub) == 0:
+        inv = F.inv(v[piv])
+        child = []
+        for col2, u in cols[at + 1:]:
+            if col2 < lo[p + 1]:
+                continue
+            if u[piv]:
+                g = F.mul(u[piv], inv)
+                u = [F.sub(x, F.mul(g, y)) for x, y in zip(u, v)]
+            child.append((col2, u))
+        if not _picks_independent(F, child, p + 1, lo, hi):
             return False
     return True
 

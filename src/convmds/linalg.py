@@ -153,39 +153,44 @@ def span_supports(F: FiniteField, vectors, target, size: int):
         if size == 0:
             yield (), []
         return
-    pick = []
-
-    def walk(start, reduced, rest):
-        # reduced[i - start] is vectors[i] reduced against the prefix basis
-        last = len(pick) + 1 == size
-        for i in range(start, len(vectors) - size + len(pick) + 1):
-            v = reduced[i - start]
-            p = next((c for c, x in enumerate(v) if x), None)
-            if p is None:
-                continue  # depends on the prefix
-            f = F.div(rest[p], v[p])
-            r = [F.sub(x, F.mul(f, y)) for x, y in zip(rest, v)] if f else rest
-            pick.append(i)
-            if last:
-                if not any(r):
-                    A = [[vectors[j][row] for j in pick]
-                         for row in range(len(target))]
-                    coeffs = solve(F, A, target)[0]
-                    if all(coeffs):
-                        yield tuple(pick), coeffs
-            elif any(r):
-                inv = F.inv(v[p])
-                child = []
-                for u in reduced[i + 1 - start:]:
-                    if u[p]:
-                        g = F.mul(u[p], inv)
-                        u = [F.sub(x, F.mul(g, y)) for x, y in zip(u, v)]
-                    child.append(u)
-                yield from walk(i + 1, child, r)
-            pick.pop()
-
     if size:
-        yield from walk(0, vectors, target)
+        yield from _span_walk(F, vectors, target, size, [], 0, vectors, target)
+
+
+def _span_walk(F, vectors, target, size, pick, start, reduced, rest):
+    """``span_supports`` below the prefix ``pick``.
+
+    reduced[i - start] is vectors[i] and rest the target, both reduced
+    against the prefix basis.  A module function, not a nested one: a
+    closure that calls itself is a reference cycle.
+    """
+    last = len(pick) + 1 == size
+    for i in range(start, len(vectors) - size + len(pick) + 1):
+        v = reduced[i - start]
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None:
+            continue  # depends on the prefix
+        f = F.div(rest[p], v[p])
+        r = [F.sub(x, F.mul(f, y)) for x, y in zip(rest, v)] if f else rest
+        pick.append(i)
+        if last:
+            if not any(r):
+                A = [[vectors[j][row] for j in pick]
+                     for row in range(len(target))]
+                coeffs = solve(F, A, target)[0]
+                if all(coeffs):
+                    yield tuple(pick), coeffs
+        elif any(r):
+            inv = F.inv(v[p])
+            child = []
+            for u in reduced[i + 1 - start:]:
+                if u[p]:
+                    g = F.mul(u[p], inv)
+                    u = [F.sub(x, F.mul(g, y)) for x, y in zip(u, v)]
+                child.append(u)
+            yield from _span_walk(F, vectors, target, size, pick, i + 1,
+                                  child, r)
+        pick.pop()
 
 
 class SpanPlan:

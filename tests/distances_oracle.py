@@ -1,16 +1,24 @@
-"""Reference message engine for column distances, kept as a test oracle.
+"""Reference engines for the distance module, kept as test oracles.
 
-This is the state-table form the package's carry-down search replaces.  A
-node's state packs the last min(nu, j) + 1 messages as one base-q^k integer;
-``block_weight`` decodes a state into the weight of its codeword block, and
-when there are at most 2^18 states their weights are tabulated up front.  The
-search order, the normalized first block and the pruning are the same as the
-package's, so both return the same d^c_j and raise at the same budget.
+``dc_messages_state_table`` is the state-table form of the message engine.
+A node's state packs the last min(nu, j) + 1 messages as one base-q^k
+integer; ``block_weight`` decodes a state into the weight of its codeword
+block, and when there are at most 2^18 states their weights are tabulated up
+front.  Every level, the last included, weighs each child message on its own.
+The normalized first block and the pruning are the package's, so both return
+the same d^c_j and raise at the same budget.
+
+``admissible_picks`` lists the column picks whose full-size minors decide
+the MDP property, and ``has_mdp_minors_by_det`` takes one determinant per
+pick, in lexicographic order.
 """
 
+import itertools
+
 from convmds import linalg
-from convmds.code import pm_coefficient, pm_memory, window_generator
-from convmds.distances import _message_space, _window_cap
+from convmds.code import (pm_coefficient, pm_memory, sliding_generator,
+                          sliding_parity, window_generator)
+from convmds.distances import _message_space, _window_cap, lm_params
 from convmds.errors import BudgetExceeded, MissingMatrix
 
 _STATE_TABLE_LIMIT = 1 << 18
@@ -68,3 +76,45 @@ def dc_messages_state_table(c, j, budget):
     rec(0, 0, 0)
     assert best <= _window_cap(n, k, c.delta, j), "no window met the distance bound"
     return best
+
+
+def admissible_picks(c):
+    """The sliding matrix at L that ``has_mdp_minors`` reads, and its
+    admissible column picks (1-based, lexicographic order)."""
+    L, _ = lm_params(c.n, c.k, c.delta)
+    if c.gen is not None:
+        W = sliding_generator(c, L)
+        size = (L + 1) * c.k
+        step, upper = c.k, True
+    elif c.par is not None:
+        W = sliding_parity(c, L)
+        size = (L + 1) * (c.n - c.k)
+        step, upper = c.n - c.k, False
+    else:
+        raise MissingMatrix("code carries no matrix")
+    N = (L + 1) * c.n
+    picks = []
+    for pick in itertools.combinations(range(1, N + 1), size):
+        ok = True
+        for s in range(1, L + 1):
+            if upper:
+                if pick[s * step] <= s * c.n:  # 1-based j_{sk+1}
+                    ok = False
+                    break
+            else:
+                if pick[s * step - 1] > s * c.n:  # 1-based i_{s(n-k)}
+                    ok = False
+                    break
+        if ok:
+            picks.append(pick)
+    return W, picks
+
+
+def has_mdp_minors_by_det(c):
+    """``has_mdp_minors`` with one ``mat_det`` per admissible column pick."""
+    W, picks = admissible_picks(c)
+    for pick in picks:
+        sub = [[row[col - 1] for col in pick] for row in W.data[:len(pick)]]
+        if linalg.mat_det(c.field, sub) == 0:
+            return False
+    return True

@@ -215,6 +215,17 @@ def test_simulate_compliant_and_adversarial(capsys):
     assert "flagged,3/3" in out
 
 
+def test_paranoid_simulate_records_overloaded_windows(capsys):
+    # a shortcut cycle whose window holds more than t errors has no match;
+    # the cross-check records it as failed instead of aborting the run
+    rc, out, err = run(capsys, "simulate", "--code",
+                       f"{FIX}/smds_2_1_2_q8.code", "--trials", "20",
+                       "--adversarial", "--paranoid", "--seed", "0")
+    assert rc == 0 and not err
+    assert "flagged,20/20" in out
+    assert "no_solution(" in out
+
+
 def test_simulate_rejects_negative_trials(capsys):
     rc, out, err = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
                        "--trials", "-3")

@@ -120,6 +120,10 @@ def test_pipeline_matches_fixture_parities():
                                        T=ref(q, size))
         fx = fixture(name)
         assert trace.code.par.entries == fx.code.par.entries, name
+        # the systematic window the parity row was solved from
+        _, M = lm_params(n, n - 1, delta)
+        assert (trace.hhat.rows, trace.hhat.cols) == (M + 1, (M + 1) * n)
+        assert column_property_holds(trace.hhat), name
         assert trace.certificates["strongly_mds"] is True
         assert trace.certificates["d_c_M"] == singleton_bound(n, n - 1, delta)
 

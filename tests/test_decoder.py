@@ -256,6 +256,26 @@ def test_paranoid_reports_match_the_default_path(fx):
             repr(simulate(c, msg, err, horizon))
 
 
+def test_paranoid_fails_overloaded_shortcut_cycles():
+    """A shortcut cycle whose window has no match of weight <= t is recorded
+    as failed with a zero correction, as a search cycle would be."""
+    c = fixture("smds_2_1_2_q8").code
+    _, M = lm_params(c.n, c.k, c.delta)
+    horizon = 12 + 2 * M
+    diverged = 0
+    for msg, err in channel_trials(c, 20, 0, horizon, adversarial=True):
+        mine = simulate(c, msg, err, horizon, paranoid=True).cycles
+        base = simulate(c, msg, err, horizon).cycles
+        j = next((j for j, (a, b) in enumerate(zip(mine, base)) if a != b),
+                 None)
+        if j is not None:
+            diverged += 1
+            assert base[j].method.startswith("shortcut:")
+            assert mine[j].method == "failed:no_solution"
+            assert mine[j].eta0 == (0,) * c.n
+    assert diverged
+
+
 def test_error_pattern_compliant_windows():
     c = fixture("smds_2_1_2_q8").code
     _, M = lm_params(c.n, c.k, c.delta)

@@ -1,19 +1,27 @@
-"""Column distances against a direct message-enumeration oracle."""
+"""Column distances and the MDP minor test against their oracles."""
 
+import gc
 import itertools
+from collections import Counter
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from convmds.code import sliding_generator, window_generator
-from convmds.distances import (_message_space, column_distance, free_distance,
+from convmds import distances, linalg
+from convmds.code import (dual, sliding_generator, window_generator,
+                          window_parity)
+from convmds.distances import (_message_space, _syndrome_space,
+                               column_distance, free_distance,
                                griesmer_feasible, has_mdp_bruteforce,
                                has_mdp_minors, lm_params, profile,
                                singleton_bound)
 from convmds.errors import BadParams, BudgetExceeded, MissingMatrix
 from convmds.fixtures import all_fixtures, fixture
 from convmds.linalg import vec_mat, vec_weight
-from distances_oracle import dc_messages_state_table
+from distances_oracle import (admissible_picks, dc_messages_state_table,
+                              has_mdp_minors_by_det)
 from test_properties import random_codes
 
 ORACLE_BUDGET = 1 << 20
@@ -75,9 +83,17 @@ def _outcome(run, *args):
         return "over budget"
 
 
-def _same_as_state_table(c, j):
-    return (_outcome(column_distance, c, j, ORACLE_BUDGET, "messages")
-            == _outcome(dc_messages_state_table, c, j, ORACLE_BUDGET))
+def _matches_state_table(c, js):
+    """The message engine against the state-table oracle at j = 0, 1, ...,
+    both alone and given the proven floor d^c_{j-1}."""
+    floor = 0
+    for j in js:
+        want = _outcome(dc_messages_state_table, c, j, ORACLE_BUDGET)
+        assert _outcome(column_distance, c, j, ORACLE_BUDGET,
+                        "messages") == want, j
+        assert _outcome(column_distance, c, j, ORACLE_BUDGET, "messages",
+                        floor) == want, j
+        floor = want if want != "over budget" else 0
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -88,15 +104,44 @@ def test_message_engine_matches_state_table_on_fixtures(name):
     _, M = lm_params(c.n, c.k, c.delta)
     js = [j for j in range(M + 2) if _message_space(c, j) <= ORACLE_BUDGET]
     assert js, name
-    for j in js:
-        assert _same_as_state_table(c, j), (name, j)
+    _matches_state_table(c, js)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(random_codes())
 def test_message_engine_matches_state_table_on_random_codes(c):
-    for j in range(4):
-        assert _same_as_state_table(c, j), j
+    _matches_state_table(c, range(4))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, fx in all_fixtures().items()
+    if window_parity(fx.code) is not None))
+def test_syndrome_engine_floor_changes_no_value(name):
+    c = fixture(name).code
+    _, M = lm_params(c.n, c.k, c.delta)
+    js = [j for j in range(M + 1) if _syndrome_space(c, j) <= 1 << 14]
+    assert js, name
+    floor = 0
+    for j in js:
+        want = column_distance(c, j, method="syndrome")
+        assert column_distance(c, j, method="syndrome",
+                               at_least=floor) == want, j
+        floor = want
+
+
+def test_floor_keeps_every_budget_boundary():
+    # the syndrome engine charges the levels the floor skips, so it fails
+    # at the same budget with or without it
+    c = fixture("smds_3_1_2_q16").code
+    N = 3 * c.n
+    need = c.n * sum(comb(N - 1, s) for s in range(7))  # d^c_2 = 7
+    for floor in (0, 5, 7):
+        assert column_distance(c, 2, need, "syndrome", at_least=floor) == 7
+        with pytest.raises(BudgetExceeded):
+            column_distance(c, 2, need - 1, "syndrome", at_least=floor)
+    with pytest.raises(BudgetExceeded):
+        column_distance(fixture("smds_7_1_2_q8").code, 4, budget=10,
+                        method="auto", at_least=20)
 
 
 def test_column_distance_validation():
@@ -150,6 +195,103 @@ def test_mdp_methods_agree_on_sample():
                  "smds_4_3_1_q16"):
         c = fixture(name).code
         assert has_mdp_bruteforce(c) == has_mdp_minors(c), name
+
+
+@pytest.mark.parametrize("name", sorted(all_fixtures()))
+def test_mdp_minor_walk_matches_determinants(name):
+    c = fixture(name).code
+    for code in (c, dual(c)):  # generator side, then parity side
+        assert has_mdp_minors(code) == has_mdp_minors_by_det(code)
+
+
+def test_mdp_minor_walk_finds_zero_minors():
+    for name in ("mds_2_1_2_q11", "mds_3_1_2_q16", "smds_7_1_2_q8"):
+        c = fixture(name).code
+        for code in (c, dual(c)):
+            assert has_mdp_minors_by_det(code) is False, name
+            assert has_mdp_minors(code) is False, name
+
+
+@pytest.mark.parametrize("take_dual", [False, True], ids=["gen", "par"])
+def test_mdp_minor_walk_enters_only_completable_prefixes(monkeypatch,
+                                                         take_dual):
+    # on an MDP code the walk finds no dependent column, so it enters each
+    # prefix of an admissible pick once, and no other prefix
+    c = fixture("smds_2_1_3_q32").code
+    c = dual(c) if take_dual else c
+    _, picks = admissible_picks(c)
+    want = Counter(p for p in range(len(picks[0]))
+                   for _ in {pick[:p] for pick in picks})
+    entered = Counter()
+    real = distances._picks_independent
+
+    def spy(F, cols, p, lo, hi):
+        entered[p] += 1
+        return real(F, cols, p, lo, hi)
+
+    monkeypatch.setattr(distances, "_picks_independent", spy)
+    assert has_mdp_minors(c) is True
+    assert entered == want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(random_codes(), st.booleans())
+def test_mdp_minor_walk_matches_determinants_on_random_codes(c, take_dual):
+    c = dual(c) if take_dual else c
+    L, _ = lm_params(c.n, c.k, c.delta)
+    assume(comb((L + 1) * c.n, (L + 1) * c.k) <= 5000)
+    assert has_mdp_minors(c) == has_mdp_minors_by_det(c)
+
+
+def test_profile_skips_supports_below_the_floor(monkeypatch):
+    # d^c_j >= d^c_{j-1}, so no window at j >= 1 needs a support search of
+    # fewer than d^c_{j-1} - 1 columns
+    c = fixture("smds_3_1_2_q16").code
+    real = linalg.span_supports
+    calls = []
+
+    def spy(F, vectors, target, size):
+        calls.append(((len(vectors) + 1) // c.n - 1, size))  # (j, size)
+        return real(F, vectors, target, size)
+
+    monkeypatch.setattr(linalg, "span_supports", spy)
+    values = profile(c).values
+    late = [(j, size) for j, size in calls if j >= 1]
+    assert {j for j, _ in late} == set(range(1, len(values)))
+    assert all(size >= values[j - 1] - 1 for j, size in late)
+
+
+def test_message_engine_last_level_weighs_no_child(monkeypatch):
+    fx = fixture("smds_5_2_2_q16")
+    real = distances._MessageSearch.child_weights
+    sums = {}  # depth -> child-weight sums made there
+
+    def spy(self, carry):
+        weights = real(self, carry)
+        depth = len(self.path)
+        sums[depth] = sums.get(depth, 0) + len(weights)
+        return weights
+
+    monkeypatch.setattr(distances._MessageSearch, "child_weights", spy)
+    assert column_distance(fx.code, 2, method="messages") == fx.profile[2]
+    assert sums.get(0) and sums.get(1) and not sums.get(2)
+
+
+@pytest.mark.parametrize("run", [
+    lambda c: column_distance(c, 2, method="syndrome"),
+    lambda c: column_distance(c, 2, method="messages"),
+    has_mdp_minors,
+], ids=["syndrome", "messages", "minors"])
+def test_searches_leave_no_reference_cycles(run):
+    c = fixture("smds_3_1_2_q16").code
+    run(c)  # fill any caches first
+    gc.collect()
+    gc.disable()
+    try:
+        run(c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_griesmer_goldens():

@@ -25,11 +25,7 @@ ALLOWED = {
     "write_fixture_files",
 }
 
-MEMBERS_ALLOWED = {
-    # the systematic window the code was solved from; the construction
-    # returns it so a caller can inspect the step without rebuilding it
-    "ConstructionTrace.hhat",
-}
+MEMBERS_ALLOWED = set()
 
 
 def _names(node) -> set:
