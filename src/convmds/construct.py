@@ -19,8 +19,9 @@ The pipeline has three steps:
 
 3. Reduce by the common monic gcd and return the code with parity check
    H = [a, b_2, ..., b_n], re-validating that the result is basic of degree
-   delta and strongly MDS (certified through the parity-side column distance
-   at M, an independent route from the column property of step 1).
+   delta and strongly MDS (certified through d^c_M of the code's column
+   distance profile, an independent route from the column property of
+   step 1).
 """
 
 from __future__ import annotations
@@ -68,16 +69,9 @@ def required_tau(n: int, delta: int) -> int:
 def column_property_holds(S: SlidingMatrix) -> bool:
     """The strong-MDS window property: no column among the first n-1 of the
     right part lies in the span of any M other columns of the window."""
-    F = S.field
     M = S.j
-    cols = linalg.transpose(S.data)
-    n = S.block_cols
-    for t in range(M + 1, M + n):
-        others = cols[:t] + cols[t + 1:]
-        for size in range(M + 1):
-            if any(linalg.span_supports(F, others, cols[t], size)):
-                return False
-    return True
+    return linalg.least_span_size(S.field, linalg.transpose(S.data),
+                                  range(M + 1, M + S.block_cols), 0, M) is None
 
 
 def build_hhat(T: LowerToeplitz, n: int, M: int) -> SlidingMatrix:

@@ -22,7 +22,15 @@ cross-checked in the test suite:
 Both are capped by the per-window bound (n-k)(j+1)+1 and by the generalized
 Singleton bound, which every column distance obeys.  A search whose candidate
 count exceeds the budget (default 2^28) raises BudgetExceeded instead of
-silently grinding.
+silently grinding.  ``auto`` runs, of the engines whose candidates fit the
+budget, the one of least estimated work in field additions.  Messages: n k q^k
+per table u G_t (t <= min(nu, j)) plus n q^k per internal node, counting at
+depth d the ((q^k-1)/(q-1)) q^{k(d-1)} prefixes of a random code times the
+share V_q(dn, cap-1) / q^{dn} that weighs less than the cap, where
+V_q(L, r) = sum_{w<=r} C(L, w)(q-1)^w.  Parity search: SYNDROME_SCALE
+(n-k)(j+1) per support for each of n targets, over the sizes floor-1..cap-2
+that it searches in full when d^c_j is the cap; size cap-1 stops at its
+first support (for j <= L, cap-1 is the window's rank).
 
 ``profile`` is the one loop over j.  Column distances never decrease
 (truncating a window to [0, j-1] keeps u_0 != 0 and cannot add weight), so
@@ -63,6 +71,7 @@ from .code import (
 from .errors import BadParams, BudgetExceeded, MissingMatrix
 
 DEFAULT_BUDGET = 1 << 28
+SYNDROME_SCALE = 2  # one syndrome-engine step in message-engine additions
 
 
 def singleton_bound(n: int, k: int, delta: int) -> int:
@@ -100,37 +109,53 @@ def _syndrome_space(c: CodeSpec, j: int) -> int:
     return c.n * sum(comb(N - 1, s) for s in range(cap))
 
 
+def _engines(c: CodeSpec, j: int, floor: int = 0) -> list:
+    """(candidate space, estimated work, method) per engine usable at j."""
+    q, n, k, qk = c.field.q, c.n, c.k, c.field.q**c.k
+    cap = _window_cap(n, k, c.delta, j)
+    G, H = window_generator(c), window_parity(c)
+    out = []
+    if G is not None:
+        nodes = 1 if j else 0  # the root; at j = 0 it is the leaf
+        for d in range(1, j):
+            ball = sum(comb(d * n, w) * (q - 1) ** w for w in range(cap))
+            nodes += max(1, (qk - 1) // (q - 1) * qk**(d - 1) * ball
+                         // q**(d * n))
+        work = n * qk * (k * (min(pm_memory(G), j) + 1) + nodes)
+        out.append((_message_space(c, j), work, "messages"))
+    if H is not None:
+        sizes = range(max(floor - 1, 0), cap - 1)
+        work = (n - k) * (j + 1) * n * sum(comb((j + 1) * n - 1, s)
+                                           for s in sizes)
+        out.append((_syndrome_space(c, j), SYNDROME_SCALE * work, "syndrome"))
+    return out
+
+
 def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
                     method: str = "auto", at_least: int = 0) -> int:
     """Exact j-th column distance of the code.
 
     ``at_least`` is a proven lower bound on d^c_j, such as d^c_{j-1}; the
     engines skip the work it rules out.  A bound above d^c_j is not caught.
+    ``method="auto"`` runs the engine of least estimated work (module
+    docstring) among those whose candidates fit the budget, else raises.
     """
     if j < 0:
         raise BadParams("window index must be nonnegative")
-    gen_ok = window_generator(c) is not None
-    par_ok = window_parity(c) is not None
-    if not gen_ok and not par_ok:
+    engines = _engines(c, j, at_least)
+    if not engines:
         raise MissingMatrix("code carries no usable matrix")
+    if method == "auto":
+        fits = [(work, m) for space, work, m in engines if space <= budget]
+        if not fits:
+            raise BudgetExceeded(f"column distance at j={j} needs "
+                                 f"{min(engines)[0]} candidates, budget {budget}")
+        method = min(fits)[1]
     if method == "messages":
         return _dc_messages(c, j, budget, at_least)
     if method == "syndrome":
         return _dc_syndrome(c, j, budget, at_least)
-    if method != "auto":
-        raise BadParams(f"unknown method {method!r}")
-    costs = []
-    if gen_ok:
-        costs.append((_message_space(c, j), _dc_messages))
-    if par_ok:
-        costs.append((_syndrome_space(c, j), _dc_syndrome))
-    costs.sort(key=lambda t: t[0])
-    cost, run = costs[0]
-    if cost > budget:
-        raise BudgetExceeded(
-            f"column distance at j={j} needs {cost} candidates, budget {budget}"
-        )
-    return run(c, j, budget, at_least)
+    raise BadParams(f"unknown method {method!r}")
 
 
 def _dc_messages(c: CodeSpec, j: int, budget: int, at_least: int) -> int:
@@ -164,8 +189,8 @@ class _MessageSearch:
         self.canon = [u for u in range(1, self.qk)
                       if next(x for x in msgs[u] if x) == 1]
         # tabs[t][u] = u G_t, the share of message u in the block t steps later
-        self.tabs = [[linalg.vec_mat(F, m, pm_coefficient(G, t)) for m in msgs]
-                     for t in range(self.nu + 1)]
+        coeffs = [pm_coefficient(G, t) for t in range(self.nu + 1)]
+        self.tabs = [[linalg.vec_mat(F, m, Gt) for m in msgs] for Gt in coeffs]
         # hit[i][a] has bit u set when (u G_0)_i = a
         self.hit = [[0] * q for _ in range(self.n)]
         for u, row in enumerate(self.tabs[0]):
@@ -221,23 +246,11 @@ class _MessageSearch:
 
 
 def _dc_syndrome(c: CodeSpec, j: int, budget: int, at_least: int) -> int:
-    Hj = sliding_parity(c, j)
-    F, n = c.field, c.n
-    cols = linalg.transpose(Hj.data)
-    N = len(cols)
-    cap = _window_cap(c.n, c.k, c.delta, j)
-    spent = 0
-    for s in range(cap):
-        spent += n * comb(N - 1, s)
-        if spent > budget:
-            raise BudgetExceeded(f"syndrome search at j={j} over budget {budget}")
-        if s + 1 < at_least:
-            continue  # charged all the same, so the budget fails where it did
-        for t in range(n):
-            # s grows from 0, so the first s with any support is the least
-            if any(linalg.span_supports(F, cols[:t] + cols[t + 1:], cols[t], s)):
-                return s + 1
-    raise AssertionError("column distance exceeded its provable cap")
+    cols = linalg.transpose(sliding_parity(c, j).data)
+    s = linalg.least_span_size(c.field, cols, range(c.n), at_least - 1,
+                               _window_cap(c.n, c.k, c.delta, j) - 1, budget)
+    assert s is not None, "column distance exceeded its provable cap"
+    return s + 1
 
 
 @dataclass
@@ -318,8 +331,7 @@ def free_distance(c: CodeSpec, horizon: int,
 
 
 def is_strongly_mds(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:
-    _, M = lm_params(c.n, c.k, c.delta)
-    return column_distance(c, M, budget) == singleton_bound(c.n, c.k, c.delta)
+    return profile(c, budget=budget).strongly_mds is True
 
 
 def has_mdp_bruteforce(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:

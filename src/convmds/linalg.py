@@ -14,6 +14,9 @@ exactness argument in ``span_supports`` covers it.
 
 from __future__ import annotations
 
+from math import comb
+
+from .errors import BudgetExceeded
 from .galois import FiniteField
 
 
@@ -155,6 +158,23 @@ def span_supports(F: FiniteField, vectors, target, size: int):
         return
     if size:
         yield from _span_walk(F, vectors, target, size, [], 0, vectors, target)
+
+
+def least_span_size(F: FiniteField, vectors, targets, floor: int, limit: int,
+                    budget: int | None = None):
+    """Least s in [floor, limit] with some vectors[t], t in targets, in the
+    span of s others, else None.  Every s, skipped or not, costs len(targets)
+    C(len(vectors)-1, s) of the budget, so a floor moves no budget boundary."""
+    others = [vectors[:t] + vectors[t + 1:] for t in targets]
+    spent = 0
+    for s in range(limit + 1):
+        spent += len(others) * comb(len(vectors) - 1, s)
+        if budget is not None and spent > budget:
+            raise BudgetExceeded(f"span search of size {s} over budget {budget}")
+        if s >= floor and any(any(span_supports(F, rest, vectors[t], s))
+                              for t, rest in zip(targets, others)):
+            return s
+    return None
 
 
 def _span_walk(F, vectors, target, size, pick, start, reduced, rest):

@@ -19,8 +19,8 @@ from .decoder import (channel_trials, feedback_decode, make_error_pattern,
                       simulate)
 from .distances import (column_distance, free_distance, griesmer_feasible,
                         has_mdp_bruteforce, has_mdp_minors, lm_params,
-                        profile, _message_space, _syndrome_space)
-from .errors import BadParams, BudgetExceeded, CodingError
+                        profile, _engines)
+from .errors import BadParams, CodingError
 from .fixtures import (all_fixtures, decode_walkthrough, fixture,
                        reference_toeplitz)
 from .galois import standard_field
@@ -77,14 +77,8 @@ def methods_agreement(c, jmax: int, budget: int = AGREEMENT_BUDGET):
     compared = 0
     problems = []
     for j in range(jmax + 1):
-        results = {}
-        if window_generator(c) is not None and _message_space(c, j) <= budget:
-            results["messages"] = column_distance(c, j, budget, "messages")
-        if window_parity(c) is not None and _syndrome_space(c, j) <= budget:
-            try:
-                results["syndrome"] = column_distance(c, j, budget, "syndrome")
-            except BudgetExceeded:
-                pass
+        results = {m: column_distance(c, j, budget, m)
+                   for space, _, m in _engines(c, j) if space <= budget}
         if len(results) == 2:
             compared += 1
             if results["messages"] != results["syndrome"]:

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from convmds import distances, linalg
 from convmds.code import (dual, sliding_generator, window_generator,
                           window_parity)
-from convmds.distances import (_message_space, _syndrome_space,
+from convmds.distances import (_engines, _message_space, _syndrome_space,
                                column_distance, free_distance,
                                griesmer_feasible, has_mdp_bruteforce,
-                               has_mdp_minors, lm_params, profile,
-                               singleton_bound)
+                               has_mdp_minors, is_strongly_mds, lm_params,
+                               profile, singleton_bound)
 from convmds.errors import BadParams, BudgetExceeded, MissingMatrix
 from convmds.fixtures import all_fixtures, fixture
 from convmds.linalg import vec_mat, vec_weight
@@ -144,6 +144,74 @@ def test_floor_keeps_every_budget_boundary():
                         method="auto", at_least=20)
 
 
+def test_floor_keeps_every_budget_boundary_of_auto():
+    # only the syndrome engine fits 5943 = 3 sum_{s<9} C(11, s) < 16^4, so
+    # auto runs it rather than raise, and raises one candidate below
+    c = fixture("smds_3_1_2_q16").code
+    assert column_distance(c, 3, 5943) == 9
+    assert column_distance(c, 3, 5943, at_least=7) == 9
+    with pytest.raises(BudgetExceeded):
+        column_distance(c, 3, 5942, at_least=7)
+
+
+def test_is_strongly_mds_budget_boundary():
+    # read from the profile to M, whose largest window needs the most; at
+    # M = 6 only the syndrome engine fits, 2 sum_{s<8} C(13, s) < 32^7
+    c = fixture("smds_2_1_3_q32").code
+    need = 2 * sum(comb(13, s) for s in range(8))
+    assert is_strongly_mds(c, need) is True
+    with pytest.raises(BudgetExceeded):
+        is_strongly_mds(c, need - 1)
+    assert is_strongly_mds(fixture("mds_2_1_2_q11").code) is False
+
+
+# The engine auto runs at the floor profile passes, wherever the other one
+# took at least twice as long and 1 ms more (tests/engine_costs.py) or does
+# not fit the default budget (smds_3_2_2_q64 at 2, smds_7_1_2_q8 at 3).
+PICKS = (
+    [(name, j, "messages") for name in ("mds_3_1_2_q16", "smds_3_1_2_q16",
+                                        "smds_3_1_2_q16b", "smds_3_1_2_q64")
+     for j in (2, 3)]
+    + [("smds_2_1_2_q8", 4, "messages"), ("smds_3_1_1_q4", 2, "messages")]
+    + [(name, j, "messages") for name, js in (
+        ("smds_5_1_1_q16", (1, 2)), ("smds_5_1_2_q16", (1, 2, 3)),
+        ("smds_7_1_1_q8", (0, 1, 2)), ("smds_7_1_2_q8", (0, 1, 2, 3)))
+       for j in js]
+    + [("smds_2_1_3_q32", j, "syndrome") for j in (3, 4)]
+    + [(name, j, "syndrome") for name in ("smds_3_2_2_q16", "smds_3_2_2_q16b",
+                                          "smds_3_2_2_q64") for j in (0, 1, 2)]
+    + [("smds_4_3_1_q16", j, "syndrome") for j in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("name,j,engine", PICKS)
+def test_auto_picks_the_faster_engine(monkeypatch, name, j, engine):
+    c = fixture(name).code
+    floor = profile(c, j - 1).values[-1] if j else 0
+    ran = []
+    for method in ("messages", "syndrome"):
+        monkeypatch.setattr(distances, f"_dc_{method}",
+                            lambda *args, method=method: ran.append(method))
+    column_distance(c, j, at_least=floor)
+    assert ran == [engine]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(random_codes())
+def test_auto_matches_both_engines_on_random_codes(c):
+    budget = 1 << 12
+    floor = 0  # d^c_{j-1}, as profile passes it
+    for j in range(4):
+        fit = [m for space, _, m in _engines(c, j) if space <= budget]
+        if not fit:
+            with pytest.raises(BudgetExceeded):
+                column_distance(c, j, budget, at_least=floor)
+            return
+        got = column_distance(c, j, budget, at_least=floor)
+        assert [column_distance(c, j, budget, m) for m in fit] == [got] * len(fit)
+        floor = got
+
+
 def test_column_distance_validation():
     c = fixture("smds_2_1_2_q8").code
     with pytest.raises(BadParams):
@@ -245,8 +313,9 @@ def test_mdp_minor_walk_matches_determinants_on_random_codes(c, take_dual):
 
 def test_profile_skips_supports_below_the_floor(monkeypatch):
     # d^c_j >= d^c_{j-1}, so no window at j >= 1 needs a support search of
-    # fewer than d^c_{j-1} - 1 columns
-    c = fixture("smds_3_1_2_q16").code
+    # fewer than d^c_{j-1} - 1 columns; auto runs the syndrome engine at
+    # every j of this code
+    c = fixture("smds_2_1_3_q32").code
     real = linalg.span_supports
     calls = []
 
