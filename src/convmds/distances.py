@@ -189,8 +189,8 @@ class _MessageSearch:
         self.canon = [u for u in range(1, self.qk)
                       if next(x for x in msgs[u] if x) == 1]
         # tabs[t][u] = u G_t, the share of message u in the block t steps later
-        coeffs = [pm_coefficient(G, t) for t in range(self.nu + 1)]
-        self.tabs = [[linalg.vec_mat(F, m, Gt) for m in msgs] for Gt in coeffs]
+        self.tabs = [_message_rows(F, pm_coefficient(G, t))
+                     for t in range(self.nu + 1)]
         # hit[i][a] has bit u set when (u G_0)_i = a
         self.hit = [[0] * q for _ in range(self.n)]
         for u, row in enumerate(self.tabs[0]):
@@ -243,6 +243,19 @@ class _MessageSearch:
                 if meet:
                     return n - z
         return room
+
+
+def _message_rows(F, Gt):
+    """u Gt for every message u in base-q index order.  The rows are linear
+    in u, so the messages below q^(i+1) come from those below q^i by adding
+    a Gt[i] once per nonzero digit a."""
+    rows = [[0] * len(Gt[0])]
+    for g in Gt:
+        below = rows[:]
+        for a in range(1, F.q):
+            ag = [F.mul(a, x) for x in g]
+            rows += [[F.add(x, y) for x, y in zip(r, ag)] for r in below]
+    return rows
 
 
 def _dc_syndrome(c: CodeSpec, j: int, budget: int, at_least: int) -> int:

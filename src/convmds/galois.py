@@ -229,32 +229,15 @@ class FiniteField:
         return self.from_digits(out)
 
     def _build_tables(self):
-        n = self.q - 1
-        if n == 1:
-            self._exp = [1, 1]
-            self._log = [0, 0]
-            self._gen = 1
-            return
-        for g in range(2, self.q):
-            exp = [1] * (2 * n)
-            log = [0] * self.q
-            x = 1
-            ok = True
-            for i in range(1, n):
-                x = self._mul_raw(x, g)
-                if x == 1:
-                    ok = False
-                    break
-                exp[i] = x
-                log[x] = i
-            if ok:
-                for i in range(n, 2 * n):
-                    exp[i] = exp[i - n]
-                self._exp = exp
-                self._log = log
-                self._gen = g
-                return
-        raise BadParams("multiplicative group has no generator; modulus corrupt?")
+        n, g = self.q - 1, self.generator()
+        exp = [1] * (2 * n)
+        log = [0] * self.q
+        for i in range(1, n):
+            exp[i] = self._mul_raw(exp[i - 1], g)
+            log[exp[i]] = i
+        exp[n:] = exp[:n]
+        self._exp = exp
+        self._log = log
 
 
 def _check_irreducible(p: int, modulus):

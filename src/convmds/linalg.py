@@ -2,14 +2,14 @@
 
 Matrices are lists of row lists of int elements; vectors are lists or tuples.
 Everything here is plain Gaussian elimination sized for desk-scale problems
-(dimensions in the tens).  The exception is ``span_supports``, the support
+(dimensions in the tens).  The exception is ``SpanPlan``, the one support
 search behind the column distances, the construction certificate and the
 decoder: it reduces incrementally along a depth-first walk instead of
 eliminating afresh for every index set, because those searches spend their
-time in it.  ``SpanPlan`` is the same walk for one fixed list of vectors and
-many targets, as in the decoder's search cycles: it keeps the prefix nodes
-it builds and answers the last level of a walk with one dict lookup.  The
-exactness argument in ``span_supports`` covers it.
+time in it.  A plan serves one fixed list of vectors and many targets: it
+keeps the prefix nodes it builds and answers the last level of a walk with
+one dict lookup.  ``least_span_size`` asks one plan about every target and
+size, leaving each target's own vector out of its walks.
 """
 
 from __future__ import annotations
@@ -26,25 +26,6 @@ def mat_copy(A):
 
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
-
-
-def mat_mul(F: FiniteField, A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(cols):
-                    if Bt[j]:
-                        Oi[j] = F.add(Oi[j], F.mul(a, Bt[j]))
-    return out
-
-def vec_mat(F: FiniteField, v, A):
-    return mat_mul(F, [list(v)], A)[0]
 
 
 def vec_weight(v) -> int:
@@ -131,99 +112,33 @@ def in_span(F: FiniteField, vectors, target) -> bool:
     return solve(F, A, list(target)) is not None
 
 
-def span_supports(F: FiniteField, vectors, target, size: int):
-    """Index sets of ``size`` vectors whose span holds target with full support.
+class SpanPlan:
+    """The support search over one fixed list of vectors, for many targets.
 
-    Walks index tuples P = (i_1 < ... < i_size) in lexicographic order, depth
-    first, keeping the not yet chosen vectors and the target reduced against
-    an echelon basis of the chosen prefix.  A vector that depends on the
-    prefix is skipped, and a prefix that already spans the target is not
-    extended.  Yields (P, coefficients) for every independent P with
-    target = sum_r coefficients[r] * vectors[i_r] and every coefficient
-    nonzero; ``solve`` runs only on the sets that span the target.
+    ``supports(target, size)`` walks index tuples P = (i_1 < ... < i_size) in
+    lexicographic order, depth first, keeping the target reduced against an
+    echelon basis of the chosen prefix.  A vector that depends on the prefix
+    is skipped, and a prefix that already spans the target is not extended.
+    It yields (P, coefficients) for every independent P with target =
+    sum_r coefficients[r] * vectors[i_r] and every coefficient nonzero;
+    ``solve`` runs only on the sets that span the target.
 
     Skipping dependent sets loses no minimal support.  If target has a
     full-support representation on a dependent P, subtracting a suitable
     multiple of a dependency on P zeroes one coefficient, so target lies in
     the span of a strictly smaller set.  Hence the least size that yields
     anything is the least number of vectors whose span holds the target, and
-    every support of that size is independent.  ``SpanPlan.supports`` yields
-    the same sets in the same order, so the argument covers it too.
-    """
-    vectors = [list(v) for v in vectors]
-    target = list(target)
-    if not any(target):
-        if size == 0:
-            yield (), []
-        return
-    if size:
-        yield from _span_walk(F, vectors, target, size, [], 0, vectors, target)
+    every support of that size is independent.
 
-
-def least_span_size(F: FiniteField, vectors, targets, floor: int, limit: int,
-                    budget: int | None = None):
-    """Least s in [floor, limit] with some vectors[t], t in targets, in the
-    span of s others, else None.  Every s, skipped or not, costs len(targets)
-    C(len(vectors)-1, s) of the budget, so a floor moves no budget boundary."""
-    others = [vectors[:t] + vectors[t + 1:] for t in targets]
-    spent = 0
-    for s in range(limit + 1):
-        spent += len(others) * comb(len(vectors) - 1, s)
-        if budget is not None and spent > budget:
-            raise BudgetExceeded(f"span search of size {s} over budget {budget}")
-        if s >= floor and any(any(span_supports(F, rest, vectors[t], s))
-                              for t, rest in zip(targets, others)):
-            return s
-    return None
-
-
-def _span_walk(F, vectors, target, size, pick, start, reduced, rest):
-    """``span_supports`` below the prefix ``pick``.
-
-    reduced[i - start] is vectors[i] and rest the target, both reduced
-    against the prefix basis.  A module function, not a nested one: a
-    closure that calls itself is a reference cycle.
-    """
-    last = len(pick) + 1 == size
-    for i in range(start, len(vectors) - size + len(pick) + 1):
-        v = reduced[i - start]
-        p = next((c for c, x in enumerate(v) if x), None)
-        if p is None:
-            continue  # depends on the prefix
-        f = F.div(rest[p], v[p])
-        r = [F.sub(x, F.mul(f, y)) for x, y in zip(rest, v)] if f else rest
-        pick.append(i)
-        if last:
-            if not any(r):
-                A = [[vectors[j][row] for j in pick]
-                     for row in range(len(target))]
-                coeffs = solve(F, A, target)[0]
-                if all(coeffs):
-                    yield tuple(pick), coeffs
-        elif any(r):
-            inv = F.inv(v[p])
-            child = []
-            for u in reduced[i + 1 - start:]:
-                if u[p]:
-                    g = F.mul(u[p], inv)
-                    u = [F.sub(x, F.mul(g, y)) for x, y in zip(u, v)]
-                child.append(u)
-            yield from _span_walk(F, vectors, target, size, pick, i + 1,
-                                  child, r)
-        pick.pop()
-
-
-class SpanPlan:
-    """``span_supports`` over one fixed list of vectors, for many targets.
-
-    The prefix nodes of the depth-first walk do not depend on the target, so
-    the plan builds each node on its first visit and keeps it.  A node holds
-    the later vectors reduced against its prefix's echelon basis, each one
-    that does not vanish normalised to a leading entry of 1, and indexes them
-    by that normalised vector.  The prefix plus vector i spans the target
-    exactly when the target's residual is a multiple of vector i's, that is
-    when the normalised residual equals vector i's key; so the last level of
-    a walk is one dict lookup instead of a reduction per leaf.
+    The prefix nodes of the walk do not depend on the target, so the plan
+    builds each node on its first visit and keeps it for every later target
+    and size.  A node holds the later vectors reduced against its prefix's
+    echelon basis, each one that does not vanish normalised to a leading
+    entry of 1, and indexes them by that normalised vector.  The prefix plus
+    vector i spans the target exactly when the target's residual is a
+    multiple of vector i's, that is when the normalised residual equals
+    vector i's key; so the last level of a walk is one dict lookup instead
+    of a reduction per leaf.
     """
 
     def __init__(self, F: FiniteField, vectors):
@@ -235,9 +150,10 @@ class SpanPlan:
         """The node of a prefix, from (index, reduced vector) pairs past it.
 
         Returns (prefix, moves, keys, children): moves lists (i, v, p) for
-        each nonzero v, normalised so that v[p] = 1 at its first nonzero p;
-        keys maps each normalised v to its indices in ascending order;
-        children fills in as the walk first reaches each child.
+        each nonzero v, normalised so that v[p] = 1 at its first nonzero p
+        and stored as the tuple that keys it; keys maps each normalised v to
+        its indices in ascending order; children fills in as the walk first
+        reaches each child.
         """
         F = self.F
         moves, keys = [], {}
@@ -248,8 +164,9 @@ class SpanPlan:
             if v[p] != 1:
                 inv = F.inv(v[p])
                 v = [F.mul(inv, x) for x in v]
+            v = tuple(v)
             moves.append((i, v, p))
-            keys.setdefault(tuple(v), []).append(i)
+            keys.setdefault(v, []).append(i)
         return prefix, moves, keys, {}
 
     def _child(self, node, i, v, p):
@@ -263,17 +180,18 @@ class SpanPlan:
                 for j, u, _ in moves if j > i))
         return children[i]
 
-    def supports(self, target, size: int):
-        """Exactly what ``span_supports(F, vectors, target, size)`` yields."""
+    def supports(self, target, size: int, skip=None):
+        """Each (P, coefficients) of ``size`` vectors that spans the target,
+        in lexicographic order of P; no P holds the index ``skip``."""
         target = list(target)
         if not any(target):
             if size == 0:
                 yield (), []
             return
         if size:
-            yield from self._walk(self.root, target, target, size)
+            yield from self._walk(self.root, target, target, size, skip)
 
-    def _walk(self, node, rest, target, size):
+    def _walk(self, node, rest, target, size, skip):
         # rest is the target reduced against the node's prefix, never zero.
         # A method, not a nested function: a closure that calls itself is a
         # reference cycle, which would keep the plan alive after a decode
@@ -285,6 +203,8 @@ class SpanPlan:
             p = next(c for c, x in enumerate(rest) if x)
             inv = F.inv(rest[p])
             for i in keys.get(tuple([mul(inv, x) for x in rest]), ()):
+                if i == skip:
+                    continue
                 pick = prefix + (i,)
                 A = [[vectors[j][row] for j in pick]
                      for row in range(len(target))]
@@ -293,14 +213,37 @@ class SpanPlan:
                     yield pick, coeffs
             return
         end = len(vectors) - size + len(prefix) + 1
+        if skip is not None and skip >= end - 1:
+            end -= 1  # each move left has vector skip after it to pass over
         for i, v, p in moves:
             if i >= end:
                 break
+            if i == skip:
+                continue
             f = rest[p]
             r = [sub(x, mul(f, y)) for x, y in zip(rest, v)] if f else rest
             if any(r):  # a prefix that spans the target is not extended
                 yield from self._walk(self._child(node, i, v, p), r, target,
-                                      size)
+                                      size, skip)
+
+
+def least_span_size(F: FiniteField, vectors, targets, floor: int, limit: int,
+                    budget: int | None = None):
+    """Least s in [floor, limit] with some vectors[t], t in targets, in the
+    span of s others, else None.  Every s, skipped or not, costs len(targets)
+    C(len(vectors)-1, s) of the budget, so a floor moves no budget boundary.
+    One plan over all the vectors serves every target and every size."""
+    plan = None
+    spent = 0
+    for s in range(limit + 1):
+        spent += len(targets) * comb(len(vectors) - 1, s)
+        if budget is not None and spent > budget:
+            raise BudgetExceeded(f"span search of size {s} over budget {budget}")
+        if s >= floor:
+            plan = plan or SpanPlan(F, vectors)
+            if any(any(plan.supports(vectors[t], s, skip=t)) for t in targets):
+                return s
+    return None
 
 
 def det_bareiss(A):

@@ -243,24 +243,24 @@ def search_toeplitz(
         # cols), so it is superregular exactly when T is.  Hence if no column
         # with t_2 = 1 is a hit, none is; and as every t_2 = 0 column fails,
         # the first hit in product order has t_2 = 1.  Each candidate t_k
-        # is charged the size of level k against the budget.
-        col = [1]
-        spent = 0
-
-        def extend(values) -> bool:
-            nonlocal spent
-            for v in values:
-                col.append(v)
-                spent += len(minor_level(len(col)))
-                if spent > budget:
-                    raise BudgetExceeded(
-                        f"exhaustive search over budget {budget} at {col}")
-                if _level_ok(field, col) and (len(col) == l or extend(range(q))):
-                    return True
-                col.pop()
-            return False
-
-        return LowerToeplitz(field, tuple(col)) if extend((1,)) else None
+        # is charged the size of level k against the budget.  A loop, not a
+        # nested function: a closure that calls itself is a reference cycle.
+        col, spent = [1, 1], 0
+        while True:
+            spent += len(minor_level(len(col)))
+            if spent > budget:
+                raise BudgetExceeded(
+                    f"exhaustive search over budget {budget} at {col}")
+            if _level_ok(field, col):
+                if len(col) == l:
+                    return LowerToeplitz(field, tuple(col))
+                col.append(0)
+                continue
+            while len(col) > 2 and col[-1] == q - 1:
+                col.pop()  # this level's values are used up
+            if len(col) == 2:
+                return None  # no column with t_2 = 1 is a hit
+            col[-1] += 1
     if mode == "seeded":
         rng = XorShift64Star(0 if seed is None else seed)
         for _ in range(max_tries):

@@ -20,6 +20,7 @@ from convmds.code import (pm_coefficient, pm_memory, sliding_generator,
                           sliding_parity, window_generator)
 from convmds.distances import _message_space, _window_cap, lm_params
 from convmds.errors import BudgetExceeded, MissingMatrix
+from algebra_helpers import vec_mat
 
 _STATE_TABLE_LIMIT = 1 << 18
 
@@ -38,7 +39,7 @@ def dc_messages_state_table(c, j, budget):
     msgs = [[u // q**i % q for i in range(k)] for u in range(qk)]  # base-q digits
     tabs = []
     for t in range(nu + 1):
-        tabs.append([tuple(linalg.vec_mat(F, m, coeffs[t])) for m in msgs])
+        tabs.append([tuple(vec_mat(F, m, coeffs[t])) for m in msgs])
     canon = [u for u in range(1, qk) if next(x for x in msgs[u] if x) == 1]
 
     depth_states = min(nu, j) + 1

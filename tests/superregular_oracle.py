@@ -112,8 +112,8 @@ def check_equivalences(T: LowerToeplitz, budget: int = 1 << 22) -> EquivalenceRe
 
     def outside_span(target, pool):
         # target lies in the span of no l - 1 or fewer vectors of the pool
-        return not any(any(linalg.span_supports(F, pool, target, s))
-                       for s in range(l))
+        plan = linalg.SpanPlan(F, pool)
+        return not any(any(plan.supports(target, s)) for s in range(l))
 
     # span conditions: T_1 against the other T columns and the unit vectors,
     # e_1 against the T columns and the other unit vectors

@@ -18,10 +18,9 @@ from convmds.errors import (A1NotUnit, BadParams, FieldMismatch,
                             ParseError, RankDeficient, ShapeMismatch)
 from convmds.fixtures import all_fixtures, fixture
 from convmds.galois import standard_field
-from convmds.linalg import mat_mul, vec_mat
 from convmds.rng import XorShift64Star
 from convmds.selftest import methods_agreement
-from algebra_helpers import identity, poly_eval
+from algebra_helpers import identity, mat_mul, poly_eval, vec_mat
 
 F2 = standard_field(2)
 F4 = standard_field(4)

@@ -19,7 +19,10 @@ from convmds.distances import (_engines, _message_space, _syndrome_space,
                                profile, singleton_bound)
 from convmds.errors import BadParams, BudgetExceeded, MissingMatrix
 from convmds.fixtures import all_fixtures, fixture
-from convmds.linalg import vec_mat, vec_weight
+from convmds.galois import standard_field
+from convmds.linalg import vec_weight
+from convmds.superregular import search_toeplitz
+from algebra_helpers import vec_mat
 from distances_oracle import (admissible_picks, dc_messages_state_table,
                               has_mdp_minors_by_det)
 from test_properties import random_codes
@@ -316,14 +319,14 @@ def test_profile_skips_supports_below_the_floor(monkeypatch):
     # fewer than d^c_{j-1} - 1 columns; auto runs the syndrome engine at
     # every j of this code
     c = fixture("smds_2_1_3_q32").code
-    real = linalg.span_supports
+    real = linalg.SpanPlan.supports
     calls = []
 
-    def spy(F, vectors, target, size):
-        calls.append(((len(vectors) + 1) // c.n - 1, size))  # (j, size)
-        return real(F, vectors, target, size)
+    def spy(self, target, size, skip=None):
+        calls.append((len(self.vectors) // c.n - 1, size))  # (j, size)
+        return real(self, target, size, skip)
 
-    monkeypatch.setattr(linalg, "span_supports", spy)
+    monkeypatch.setattr(linalg.SpanPlan, "supports", spy)
     values = profile(c).values
     late = [(j, size) for j, size in calls if j >= 1]
     assert {j for j, _ in late} == set(range(1, len(values)))
@@ -350,7 +353,8 @@ def test_message_engine_last_level_weighs_no_child(monkeypatch):
     lambda c: column_distance(c, 2, method="syndrome"),
     lambda c: column_distance(c, 2, method="messages"),
     has_mdp_minors,
-], ids=["syndrome", "messages", "minors"])
+    lambda c: search_toeplitz(5, standard_field(8)),
+], ids=["syndrome", "messages", "minors", "toeplitz"])
 def test_searches_leave_no_reference_cycles(run):
     c = fixture("smds_3_1_2_q16").code
     run(c)  # fill any caches first

@@ -4,9 +4,10 @@ import itertools
 from fractions import Fraction
 
 from convmds.galois import standard_field
-from convmds.linalg import (det_bareiss, in_span, mat_det, mat_mul, solve,
-                            transpose, vec_mat, vec_weight)
+from convmds.linalg import (det_bareiss, in_span, mat_det, solve, transpose,
+                            vec_weight)
 from convmds.rng import XorShift64Star
+from algebra_helpers import mat_mul, vec_mat
 
 
 def random_matrix(rng, q, r, c):

@@ -2,10 +2,10 @@
 
 The oracles below are the plain searches that the distance engine, the
 construction certificate, the superregular battery and the decoder ran
-before ``linalg.span_supports`` existed: every index set of a given size,
-one full ``in_span`` or ``solve`` per set.  ``linalg.SpanPlan``, the walk
-the decoder keeps across its search cycles, must yield exactly what
-``span_supports`` yields.
+before ``linalg.SpanPlan`` existed: every index set of a given size, one
+full ``in_span`` or ``solve`` per set.  A plan must yield exactly what they
+find, whether it is fresh or has kept the nodes of earlier walks, and with
+one index left out when ``least_span_size`` asks about that vector.
 """
 
 import itertools
@@ -19,9 +19,10 @@ from convmds.distances import lm_params
 from convmds.errors import BudgetExceeded
 from convmds.fixtures import all_fixtures
 from convmds.galois import standard_field
-from convmds.linalg import (SpanPlan, in_span, solve, span_supports,
-                            transpose, vec_mat)
+from convmds.linalg import (SpanPlan, in_span, least_span_size, solve,
+                            transpose)
 from convmds.selftest import decodable_fixtures
+from algebra_helpers import vec_mat
 
 FIELDS = (2, 3, 4, 8)
 ORACLE_CALLS = 1 << 13  # largest subset loop run on a fixture window
@@ -79,9 +80,14 @@ def least_support_oracle(F, vectors, target):
     return None
 
 
+def supports(F, vectors, target, size):
+    return list(SpanPlan(F, vectors).supports(target, size))
+
+
 def least_support(F, vectors, target):
+    plan = SpanPlan(F, vectors)
     return next((s for s in range(len(vectors) + 1)
-                 if any(span_supports(F, vectors, target, s))), None)
+                 if any(plan.supports(target, s))), None)
 
 
 def eta_solutions_oracle(F, window, S, t, budget, null_limit=4096):
@@ -132,7 +138,7 @@ def test_span_supports_matches_subset_oracle():
     cases = 0
     for _, F, cols, target in random_cases(seed=11, count=400):
         for size in range(len(cols) + 1):
-            assert list(span_supports(F, cols, target, size)) == \
+            assert supports(F, cols, target, size) == \
                 supports_oracle(F, cols, target, size), (F.q, cols, target)
         cases += 1
     assert cases == 400
@@ -141,16 +147,21 @@ def test_span_supports_matches_subset_oracle():
 def test_span_supports_edge_cases():
     F = standard_field(3)
     cols = [[1, 0], [0, 1], [1, 1]]
-    assert list(span_supports(F, cols, [0, 0], 0)) == [((), [])]
-    assert list(span_supports(F, cols, [0, 0], 1)) == []
-    assert list(span_supports(F, cols, [1, 0], 0)) == []
-    assert list(span_supports(F, cols, [1, 0], 1)) == [((0,), [1])]
+    assert supports(F, cols, [0, 0], 0) == [((), [])]
+    assert supports(F, cols, [0, 0], 1) == []
+    assert supports(F, cols, [1, 0], 0) == []
+    assert supports(F, cols, [1, 0], 1) == [((0,), [1])]
     # (1,1) is column 2 itself, so on {0, 2} and {1, 2} a coefficient vanishes
-    assert list(span_supports(F, cols, [1, 1], 2)) == [((0, 1), [1, 1])]
-    assert list(span_supports(F, cols, [1, 2], 2)) == [
+    assert supports(F, cols, [1, 1], 2) == [((0, 1), [1, 1])]
+    assert supports(F, cols, [1, 2], 2) == [
         ((0, 1), [1, 2]), ((0, 2), [2, 2]), ((1, 2), [1, 1])]
-    assert list(span_supports(F, cols, [1, 0], 3)) == []
-    assert list(span_supports(F, [], [1, 0], 1)) == []
+    assert supports(F, cols, [1, 0], 3) == []
+    assert supports(F, [], [1, 0], 1) == []
+    plan = SpanPlan(F, cols)
+    assert list(plan.supports([1, 1], 1, skip=2)) == []
+    assert list(plan.supports([1, 1], 2, skip=2)) == [((0, 1), [1, 1])]
+    assert list(plan.supports([1, 2], 2, skip=0)) == [((1, 2), [1, 1])]
+    assert list(plan.supports([0, 0], 0, skip=0)) == [((), [])]
 
 
 def test_least_support_matches_in_span_loop():
@@ -201,7 +212,7 @@ def test_eta_solutions_match_null_space_oracle(seed):
     assert hits > 100
 
 
-def test_span_plan_matches_span_supports_and_oracle():
+def test_shared_span_plan_matches_oracle():
     """One plan per window answers many targets, sizes in mixed order.
 
     Targets repeat and sizes come shuffled, so later walks run through the
@@ -218,8 +229,7 @@ def test_span_plan_matches_span_supports_and_oracle():
             sizes = list(range(len(cols) + 1))
             rng.shuffle(sizes)
             for size in sizes:
-                got = list(plan.supports(target, size))
-                assert got == list(span_supports(F, cols, target, size)) == \
+                assert list(plan.supports(target, size)) == \
                     supports_oracle(F, cols, target, size), \
                     (F.q, cols, target, size)
                 compared += 1
@@ -244,7 +254,44 @@ def test_span_plan_on_decodable_parity_windows(fx):
         S = vec_mat(F, eta, cols)
         for size in rng.sample(range(t + 1), t + 1):
             got = list(plan.supports(S, size))
-            assert got == list(span_supports(F, cols, S, size)) == \
-                supports_oracle(F, cols, S, size), (S, size)
+            assert got == supports_oracle(F, cols, S, size), (S, size)
             hits += bool(got)
     assert hits >= 40
+
+
+def test_least_span_size_on_one_plan_matches_oracles():
+    """Random windows, several targets, random floors and limits.
+
+    ``supports(target, size, skip=t)`` on the shared plan must yield the
+    subset oracle's supports over the columns other than t, with indices
+    mapped back; ``least_span_size`` must give the least size in [floor,
+    limit] at which some target has one, which below every target's least
+    support is the least support itself.
+    """
+    rng = random.Random(51)
+    for case in range(80):
+        F = standard_field(FIELDS[case % len(FIELDS)])
+        cols = random_columns(rng, F, rng.randint(2, 5), rng.randint(3, 9))
+        targets = sorted(rng.sample(range(len(cols)), rng.randint(1, 3)))
+        plan = SpanPlan(F, cols)
+        found = set()  # sizes at which some target has a support
+        for t in rng.sample(targets, len(targets)):
+            others = cols[:t] + cols[t + 1:]
+            for size in rng.sample(range(len(cols)), len(cols)):
+                want = [(tuple(i + (i >= t) for i in pick), coeffs)
+                        for pick, coeffs in
+                        supports_oracle(F, others, cols[t], size)]
+                assert list(plan.supports(cols[t], size, skip=t)) == want, \
+                    (F.q, cols, t, size)
+                if want:
+                    found.add(size)
+        leasts = [least_support_oracle(F, cols[:t] + cols[t + 1:], cols[t])
+                  for t in targets]
+        least = min((s for s in leasts if s is not None), default=None)
+        assert least == min(found, default=None)
+        floor = rng.randint(0, 2)
+        limit = rng.randint(floor, len(cols) - 1)
+        want = min((s for s in found if floor <= s <= limit), default=None)
+        assert least_span_size(F, cols, targets, floor, limit) == want
+        if least is not None and floor <= least <= limit:
+            assert want == least

@@ -6,7 +6,6 @@ import pytest
 
 from convmds.errors import BadParams, BudgetExceeded, Singular
 from convmds.galois import standard_field
-from convmds.linalg import mat_mul
 from convmds.superregular import (LowerToeplitz, all_minors_nonzero,
                                   binomial_toeplitz, general_toeplitz,
                                   inverse_superregular, is_superregular,
@@ -14,6 +13,7 @@ from convmds.superregular import (LowerToeplitz, all_minors_nonzero,
                                   search_general_toeplitz, search_toeplitz,
                                   smallest_prime_superregular, theorem_a_check,
                                   toeplitz)
+from algebra_helpers import mat_mul
 from superregular_oracle import check_equivalences, proper_pairs
 
 F2 = standard_field(2)
