@@ -23,6 +23,8 @@ group of each tabulated field.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import (
     BadLength,
     BadParams,
@@ -174,25 +176,22 @@ class FiniteField:
         return r
 
     def generator(self) -> int:
-        """Smallest int encoding that generates the multiplicative group."""
+        """Smallest int encoding that generates the multiplicative group:
+        the least g with g^(n/r) != 1 for every prime r dividing n = q-1."""
         if self._gen is None:
-            n = self.q - 1
-            if n == 1:
-                self._gen = 1
-            else:
-                for g in range(2, self.q):
-                    if self._order(g) == n:
-                        self._gen = g
-                        break
+            n = rest = self.q - 1
+            primes = []
+            for r in range(2, isqrt(n) + 1):
+                if rest % r == 0:
+                    primes.append(r)
+                    while rest % r == 0:
+                        rest //= r
+            if rest > 1:
+                primes.append(rest)
+            self._gen = next((g for g in range(2, self.q)
+                              if all(self.pow(g, n // r) != 1 for r in primes)),
+                             1)  # GF(2), whose group is {1}
         return self._gen
-
-    def _order(self, a: int) -> int:
-        x = a
-        k = 1
-        while x != 1:
-            x = self._mul_raw(x, a) if self._log is None else self.mul(x, a)
-            k += 1
-        return k
 
     # --- internals --------------------------------------------------------
 
