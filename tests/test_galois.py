@@ -76,8 +76,17 @@ def test_fermat_and_inverse():
 
 
 def test_generator_has_full_order():
-    for q in [4, 8, 16, 32, 64, 11]:
-        F = standard_field(q)
+    fields = [standard_field(q) for q in (2, 4, 7, 8, 11, 16, 17, 32, 64)]
+    fields.append(FiniteField(2, 4, (1, 1, 1, 1, 1)))  # x has order 5 here
+
+    def order(F, a):
+        x, k = a, 1
+        while x != 1:
+            x, k = F.mul(x, a), k + 1
+        return k
+
+    for F in fields:
+        q = F.q
         g = F.generator()
         seen = set()
         x = 1
@@ -85,6 +94,8 @@ def test_generator_has_full_order():
             seen.add(x)
             x = F.mul(x, g)
         assert len(seen) == q - 1
+        # the least such element: 2 has order 3 in GF(7), 8 in GF(17)
+        assert all(order(F, a) < q - 1 for a in range(2, g))
 
 
 def test_division_by_zero():
