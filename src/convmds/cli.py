@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for any randomized step")
     common.add_argument("--budget", type=int, default=None,
                         help="work cap for searches: candidates, supports "
-                        "or Toeplitz minors")
+                        "or Toeplitz shift classes")
     common.add_argument("--format", choices=("text", "csv"), default="text",
                         help="table output style")
 

@@ -19,12 +19,16 @@ columns j_{v+1}..j_r above the diagonal only, so the minor is the level-i_v
 minor (i_1..i_v | j_1..j_v) times a trailing minor that, shifted by
 -(j_{v+1} - 1), has j_1 = 1 and last row i_r - j_{v+1} + 1 < k.  By
 induction on k, levels 1..k decide the k x k leading principal submatrix,
-over GF(p^m) (no zero divisors) and for integer positivity alike; levels
-1..8 hold 626 of the 3432 shift classes.  The search grows a column depth
-first and checks only level k when it sets t_k.  It only explores t_2 = 1:
-the 1 x 1 minor t_2 rules out t_2 = 0, and the diagonal similarity
-diag(a^i) T diag(a^-i) turns any superregular column with t_2 = 1/a into
-one with t_2 = 1 (see ``search_toeplitz``).
+over GF(p^m) (no zero divisors) and for integer positivity alike.  Over any
+commutative ring the minor on (I | J) equals that on its flip, rows k+1-J
+and columns k+1-I (J A^T J for the reversal J, as J T^T J = T).  The flip
+keeps (i_r, j_1) = (k, 1) and indecomposability, so each level keeps one
+pair per flip orbit: levels 1..8 hold 352 pairs for 626 of the 3432 shift
+classes.  The search grows a column depth first and checks only level k when
+it sets t_k.  It only explores t_2 = 1: the 1 x 1 minor t_2 rules out
+t_2 = 0, and the diagonal similarity diag(a^i) T diag(a^-i) turns any
+superregular column with t_2 = 1/a into one with t_2 = 1 (see
+``search_toeplitz``).
 
 Besides the direct minor test this module implements the closure properties
 (inverse, leading principal submatrices), binomial Toeplitz matrices with
@@ -91,8 +95,10 @@ def minor_level(k: int) -> tuple:
     with some i_v < j_{v+1}: their rows i_1..i_v meet columns j_{v+1}..j_r
     above the diagonal only, so each is a level-i_v minor times a minor
     that, shifted by -(j_{v+1} - 1), has j_1 = 1 and i_r = k - j_{v+1} + 1.
-    Pairs are rows of entry offsets i - j (the minor of ``col`` is
-    ``col[i - j]``, 0 where i - j < 0), smaller first: cheaper, fail sooner.
+    That leaves C_{k-1} classes; of each and its flip (module docstring)
+    only the first in (size, rows, cols) order is kept.  Pairs are rows of
+    entry offsets i - j (the minor of ``col`` is ``col[i - j]``, 0 where
+    i - j < 0), smaller first: cheaper, fail sooner.
     """
     level, shared = [], {}
     for size in range(1, k + 1):
@@ -100,8 +106,11 @@ def minor_level(k: int) -> tuple:
             rows = head + (k,)
             for tail in itertools.combinations(range(2, k + 1), size - 1):
                 cols = (1,) + tail
+                flip = (tuple(k + 1 - j for j in reversed(cols)),
+                        tuple(k + 1 - i for i in reversed(rows)))
                 # i_v >= j_{v+1} for v < r, which implies j_v <= i_v
-                if all(j <= i for i, j in zip(rows, cols[1:])):
+                if (rows, cols) <= flip and all(
+                        j <= i for i, j in zip(rows, cols[1:])):
                     # pairs share most offset rows; store each row once
                     offsets = (tuple(i - j for j in cols) for i in rows)
                     level.append(tuple(shared.setdefault(r, r) for r in offsets))
@@ -151,7 +160,7 @@ def binomial_toeplitz(n: int) -> LowerToeplitz:
 
 
 def _integer_minors(T: LowerToeplitz):
-    """Exact big-integer proper minors, one per indecomposable shift class."""
+    """Exact big-integer proper minors, one per pair of ``minor_level``."""
     return (linalg.det_bareiss(_minor(T.col, offsets))
             for k in range(1, T.size + 1) for offsets in minor_level(k))
 
@@ -225,8 +234,9 @@ def search_toeplitz(
     Columns are normalized to t_1 = 1 (scaling does not change
     superregularity and a zero t_1 never is).  Exhaustive mode returns the
     first hit of (t_2, ..., t_l) in lexicographic order and raises
-    BudgetExceeded once the minors it was due to check exceed ``budget``;
-    seeded mode draws columns from the xorshift64* stream.
+    BudgetExceeded once the shift classes it was due to check (C_{k-1} per
+    candidate t_k, not the determinants made) exceed ``budget``; seeded
+    mode draws columns from the xorshift64* stream.
     """
     if l < 1:
         raise BadParams("size must be positive")
@@ -243,11 +253,11 @@ def search_toeplitz(
         # cols), so it is superregular exactly when T is.  Hence if no column
         # with t_2 = 1 is a hit, none is; and as every t_2 = 0 column fails,
         # the first hit in product order has t_2 = 1.  Each candidate t_k
-        # is charged the size of level k against the budget.  A loop, not a
-        # nested function: a closure that calls itself is a reference cycle.
+        # is charged C_{k-1} against the budget.  A loop, not a nested
+        # function: a closure that calls itself is a reference cycle.
         col, spent = [1, 1], 0
         while True:
-            spent += len(minor_level(len(col)))
+            spent += comb(2 * len(col) - 2, len(col) - 1) // len(col)
             if spent > budget:
                 raise BudgetExceeded(
                     f"exhaustive search over budget {budget} at {col}")

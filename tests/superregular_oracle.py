@@ -2,7 +2,8 @@
 
 These are the direct forms the package's level-by-level code replaces: every
 proper pair gets its own determinant, and the exhaustive search tests each
-column of ``itertools.product`` order from scratch.  ``check_equivalences``
+column of ``itertools.product`` order from scratch.  ``unhalved_level`` is
+the minor table with both pairs of every flip orbit.  ``check_equivalences``
 evaluates six equivalent characterizations of superregularity (weight of
 column combinations, span conditions, bounded-weight kernel vectors of
 [I | T]) independently, so they can be cross-checked.
@@ -26,6 +27,28 @@ def proper_pairs(l, r=None):
             for cols in itertools.combinations(range(1, l + 1), size):
                 if all(j <= i for i, j in zip(rows, cols)):
                     yield rows, cols
+
+
+def unhalved_level(k):
+    """Level k with both pairs of each flip orbit: offset rows of the
+    indecomposable proper pairs with j_1 = 1 and i_r = k, in table order."""
+    level = []
+    for size in range(1, k + 1):
+        for head in itertools.combinations(range(1, k), size - 1):
+            rows = head + (k,)
+            for tail in itertools.combinations(range(2, k + 1), size - 1):
+                cols = (1,) + tail
+                if all(j <= i for i, j in zip(rows, cols[1:])):
+                    level.append(tuple(tuple(i - j for j in cols)
+                                       for i in rows))
+    return level
+
+
+def flip(pair):
+    """The offsets of the flipped pair: flip[a][b] = pair[r-1-b][r-1-a]."""
+    r = len(pair)
+    return tuple(tuple(pair[r - 1 - b][r - 1 - a] for b in range(r))
+                 for a in range(r))
 
 
 def submatrix(col, rows, cols):

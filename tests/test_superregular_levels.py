@@ -13,9 +13,11 @@ from convmds.linalg import det_bareiss, mat_det
 from convmds.superregular import (LowerToeplitz, binomial_toeplitz,
                                   inverse_superregular, is_superregular,
                                   minor_level, proper_minors_positive,
-                                  search_toeplitz, toeplitz)
-from superregular_oracle import (first_column, proper_pairs, seeded_column,
-                                 submatrix, superregular_column)
+                                  search_toeplitz,
+                                  smallest_prime_superregular, toeplitz)
+from superregular_oracle import (first_column, flip, proper_pairs,
+                                 seeded_column, submatrix,
+                                 superregular_column, unhalved_level)
 
 SMALL_FIELDS = (2, 3, 4, 5, 7, 8, 16)
 # every (l, q) whose oracle search over product order runs in about 1 s or less
@@ -31,6 +33,10 @@ def table(l):
     return [pair for k in range(1, l + 1) for pair in minor_level(k)]
 
 
+def offset_minor(col, pair):
+    return [[col[d] if d >= 0 else 0 for d in row] for row in pair]
+
+
 def offsets(rows, cols):
     """A pair's entry offsets i - j: equal exactly within a shift class."""
     return tuple(tuple(i - j for j in cols) for i in rows)
@@ -43,17 +49,22 @@ def splits(rows, cols):
 
 def test_level_and_pair_counts():
     sizes = [len(table(l)) for l in range(1, 9)]
-    assert sizes == [1, 2, 4, 9, 23, 65, 197, 626]
+    assert sizes == [1, 2, 4, 8, 18, 44, 120, 352]
+    assert [len(minor_level(k)) for k in range(1, 10)] == [
+        1, 1, 2, 4, 10, 26, 76, 232, 750]
+    # before halving, level k holds C_{k-1} shift classes
+    for k in range(1, 10):
+        assert len(unhalved_level(k)) == catalan(k - 1)
     for l in range(1, 9):
         assert sum(1 for _ in proper_pairs(l)) == catalan(l + 1) - 1
 
 
 def test_levels_are_the_shift_classes():
-    # the table holds one pair per shift class of the indecomposable proper
-    # pairs (no i_v < j_{v+1}); a shift keeps i_v - j_{v+1}, so whether a
-    # pair decomposes is a property of its class
+    # the unhalved table holds one pair per shift class of the
+    # indecomposable proper pairs (no i_v < j_{v+1}); a shift keeps
+    # i_v - j_{v+1}, so whether a pair decomposes is a property of its class
     for l in range(1, 8):
-        pairs = table(l)
+        pairs = [pair for k in range(1, l + 1) for pair in unhalved_level(k)]
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == {offsets(rows, cols)
                               for rows, cols in proper_pairs(l)
@@ -63,6 +74,39 @@ def test_levels_are_the_shift_classes():
     for k in range(1, 9):
         # entry (i_r, j_1) = (k, 1) is t_k, the largest index in the minor
         assert all(p[-1][0] == k - 1 == max(map(max, p)) for p in minor_level(k))
+
+
+def test_levels_keep_the_first_pair_of_each_flip_orbit():
+    for k in range(1, 10):
+        full = unhalved_level(k)
+        where = {pair: n for n, pair in enumerate(full)}
+        # the flip is an involution of level k
+        assert all(flip(flip(p)) == p and flip(p) in where for p in full)
+        # kept: each pair that comes no later than its flip, in table order
+        assert minor_level(k) == tuple(p for p in full
+                                       if where[p] <= where[flip(p)])
+        # so every pair is kept or is the flip of a kept pair, and no two
+        # kept pairs share an orbit
+        kept = set(minor_level(k))
+        assert all(p in kept or flip(p) in kept for p in full)
+        assert not any(p != flip(p) and flip(p) in kept for p in kept)
+
+
+def test_flipped_pairs_have_equal_minors():
+    rng = random.Random(17)
+    pairs = [p for k in range(2, 8) for p in unhalved_level(k) if p != flip(p)]
+    for q in (16, 32):
+        F = standard_field(q)
+        for _ in range(6):
+            col = tuple(rng.randrange(q) for _ in range(7))
+            for p in pairs:
+                assert (mat_det(F, offset_minor(col, p))
+                        == mat_det(F, offset_minor(col, flip(p)))), (q, col, p)
+    for _ in range(6):
+        col = tuple(rng.randint(-4, 9) for _ in range(7))
+        for p in pairs:
+            assert (det_bareiss(offset_minor(col, p))
+                    == det_bareiss(offset_minor(col, flip(p)))), (col, p)
 
 
 def test_decomposable_minors_are_products_of_lower_minors():
@@ -110,8 +154,9 @@ def test_reference_8x8_check_counts_one_determinant_per_pair(monkeypatch):
 
     monkeypatch.setattr(linalg, "mat_det", counted)
     assert T.field.q == 64 and is_superregular(T)
-    # one determinant per indecomposable shift class, of 3432 shift classes
-    assert len(calls) == 626
+    # one determinant per flip orbit of the 626 indecomposable shift
+    # classes, of 3432 shift classes
+    assert len(calls) == 352
 
 
 def test_least_gf2m_goldens_for_7x7_and_8x8():
@@ -188,6 +233,27 @@ def test_known_misses_and_budget():
     assert search_toeplitz(7, F, budget=3801).col == (1, 1, 2, 3, 8, 1, 26)
     with pytest.raises(BudgetExceeded):
         search_toeplitz(7, F, budget=3800)
+
+
+@pytest.mark.parametrize("l,q,least,want", [(6, 8, 6977, None),
+                                             (5, 4, 49, None),
+                                             (6, 16, 237, (1, 1, 2, 3, 8, 1))])
+def test_budget_boundaries(l, q, least, want):
+    # the least budget each search runs to the end with, as measured on the
+    # unhalved table: the budget counts shift classes due, so keeping one
+    # determinant per flip orbit moves no boundary
+    F = standard_field(q)
+    hit = search_toeplitz(l, F, budget=least)
+    assert (None if hit is None else hit.col) == want
+    with pytest.raises(BudgetExceeded):
+        search_toeplitz(l, F, budget=least - 1)
+
+
+def test_binomial_matrices_over_the_integers_and_least_primes():
+    assert all(proper_minors_positive(binomial_toeplitz(n))
+               for n in range(1, 9))
+    assert [smallest_prime_superregular(n) for n in range(2, 9)] == [
+        2, 5, 7, 11, 23, 43, 79]
 
 
 def test_integer_positivity_matches_oracle():
