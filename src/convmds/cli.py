@@ -28,8 +28,8 @@ from .distances import DEFAULT_BUDGET, lm_params, profile
 from .errors import BadParams, CodingError, NoSuperregularFound, ParseError
 from .galois import parse_field
 from .poly import format_poly
-from .superregular import (is_superregular, search_general_toeplitz,
-                           search_toeplitz, toeplitz)
+from .superregular import (SEARCH_BUDGET, is_superregular,
+                           search_general_toeplitz, search_toeplitz, toeplitz)
 
 
 # --- output helpers ---------------------------------------------------------
@@ -44,20 +44,18 @@ def _csv_block(headers, rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def emit_table(headers, rows, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def emit_table(headers, rows, fmt: str) -> None:
     rows = [[str(x) for x in row] for row in rows]
     if fmt == "text":
         widths = [len(h) for h in headers]
         for row in rows:
             widths = [max(w, len(x)) for w, x in zip(widths, row)]
         head = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
-        print(head, file=out)
+        print(head)
         for row in rows:
-            print("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip(),
-                  file=out)
-        print("", file=out)
-    print(_csv_block(headers, rows), file=out)
+            print("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip())
+        print()
+    print(_csv_block(headers, rows))
 
 
 def _ints(text: str):
@@ -89,10 +87,8 @@ def cmd_construct(args) -> int:
     field = parse_field(args.field)
     T = toeplitz(field, _ints(args.toeplitz)) if args.toeplitz else None
     build = construct_dual_mds if args.dual else construct_strongly_mds
-    kw = {"T": T, "seed": args.seed}
-    if args.budget:
-        kw["budget"] = args.budget
-    trace = build(args.n, args.delta, field, **kw)
+    trace = build(args.n, args.delta, field, T=T,
+                  budget=args.budget or SEARCH_BUDGET)
     c = trace.code
     rows = [
         ("field", field),

@@ -1,6 +1,7 @@
 """Construction of strongly MDS (n, n-1, delta) codes from superregular data.
 
-The pipeline has three steps:
+The pipeline has three steps; without a given T, step 1 first searches for
+the lexicographically least superregular column, or proves none exists.
 
 1. From a tau x tau superregular Toeplitz matrix T with tau = (M+1)(n-1),
    where M = floor(delta/(n-1)) + delta, assemble the systematic window
@@ -55,8 +56,6 @@ from .superregular import (
     search_toeplitz,
 )
 
-DEFAULT_SEARCH_SEED = 1
-
 
 def required_tau(n: int, delta: int) -> int:
     """Size of the superregular matrix feeding an (n, n-1, delta) build."""
@@ -108,7 +107,7 @@ def solve_ab(S: SlidingMatrix, n: int, delta: int):
     """
     F = S.field
     M = S.j
-    L_, M_expected = lm_params(n, n - 1, delta)
+    _, M_expected = lm_params(n, n - 1, delta)
     if M != M_expected:
         raise ShapeMismatch(f"window at M={M} does not fit delta={delta}")
     hrows = systematic_h_rows(S)
@@ -166,27 +165,19 @@ def construct_strongly_mds(
     delta: int,
     field: FiniteField,
     T: LowerToeplitz | None = None,
-    seed: int | None = None,
     budget: int = SEARCH_BUDGET,
 ) -> ConstructionTrace:
-    """Full pipeline from a superregular matrix to a certified code."""
+    """Full pipeline from a superregular matrix, ``T`` or else the least
+    column ``search_toeplitz`` finds within ``budget``, to a certified code."""
     if n < 2 or delta < 0:
         raise BadParams(f"bad parameters n={n} delta={delta}")
     tau = required_tau(n, delta)
     _, M = lm_params(n, n - 1, delta)
     if T is None:
-        if field.q ** (tau - 1) <= budget:
-            T = search_toeplitz(tau, field, mode="exhaustive", budget=budget)
-        else:
-            T = search_toeplitz(
-                tau,
-                field,
-                mode="seeded",
-                seed=DEFAULT_SEARCH_SEED if seed is None else seed,
-            )
+        T = search_toeplitz(tau, field, budget=budget)
         if T is None:
             raise NoSuperregularFound(
-                f"no superregular {tau}x{tau} Toeplitz matrix found over {field}"
+                f"no superregular {tau}x{tau} Toeplitz matrix exists over {field}"
             )
     elif T.field != field:
         raise BadParams("Toeplitz matrix field differs from the requested field")
@@ -216,7 +207,6 @@ def construct_dual_mds(
     delta: int,
     field: FiniteField,
     T: LowerToeplitz | None = None,
-    seed: int | None = None,
     budget: int = SEARCH_BUDGET,
 ) -> ConstructionTrace:
     """Strongly MDS (n, 1, delta) code as the dual of a constructed one.
@@ -224,8 +214,10 @@ def construct_dual_mds(
     Requires (n-1) | delta, the regime in which the strong-MDS property is
     preserved under dualization for rate (n-1)/n codes.
     """
+    if n < 2 or delta < 0:
+        raise BadParams(f"bad parameters n={n} delta={delta}")
     if delta % (n - 1):
         raise DivisibilityViolated(f"need (n-1)={n - 1} dividing delta={delta}")
-    trace = construct_strongly_mds(n, delta, field, T=T, seed=seed, budget=budget)
+    trace = construct_strongly_mds(n, delta, field, T=T, budget=budget)
     certificates = dict(trace.certificates, dual_of_certified=True)
     return replace(trace, code=dual(trace.code), certificates=certificates)

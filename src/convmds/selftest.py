@@ -35,13 +35,12 @@ AGREEMENT_BUDGET = 1 << 20
 # --- fixture-level helpers (shared with the test suite) ---------------------
 
 
-def verify_fixture(fx, budget: int | None = None) -> list:
+def verify_fixture(fx) -> list:
     """Recompute a fixture's profile, spots and flags; returns problems."""
-    kw = {} if budget is None else {"budget": budget}
     c = fx.code
     _, M = lm_params(c.n, c.k, c.delta)
     horizon = max([M] + list(fx.spots))
-    prof = profile(c, horizon=horizon, **kw)
+    prof = profile(c, horizon=horizon)
     problems = []
     if fx.profile and tuple(prof.values[:len(fx.profile)]) != fx.profile:
         problems.append(f"{fx.name}: profile {prof.values} != {fx.profile}")
@@ -55,12 +54,11 @@ def verify_fixture(fx, budget: int | None = None) -> list:
     return problems
 
 
-def verify_free_distance(fx, budget: int | None = None) -> list:
-    kw = {} if budget is None else {"budget": budget}
+def verify_free_distance(fx) -> list:
     problems = []
     if fx.dfree is None:
         return problems
-    fd = free_distance(fx.code, horizon=fx.dfree_at, **kw)
+    fd = free_distance(fx.code, horizon=fx.dfree_at)
     if fd.value != fx.dfree:
         problems.append(f"{fx.name}: free distance {fd.value} != {fx.dfree}")
     if fd.reached_at != fx.dfree_at:
@@ -68,17 +66,18 @@ def verify_free_distance(fx, budget: int | None = None) -> list:
     return problems
 
 
-def methods_agreement(c, jmax: int, budget: int = AGREEMENT_BUDGET):
+def methods_agreement(c, jmax: int):
     """Compare the message-side and syndrome-side column distances.
 
-    A side only runs when its predicted search space fits the budget and the
-    needed matrix exists; returns (comparisons made, problems).
+    A side only runs when its predicted search space fits AGREEMENT_BUDGET
+    and the needed matrix exists; returns (comparisons made, problems).
     """
     compared = 0
     problems = []
     for j in range(jmax + 1):
-        results = {m: column_distance(c, j, budget, m)
-                   for space, _, m in _engines(c, j) if space <= budget}
+        results = {m: column_distance(c, j, AGREEMENT_BUDGET, m)
+                   for space, _, m in _engines(c, j)
+                   if space <= AGREEMENT_BUDGET}
         if len(results) == 2:
             compared += 1
             if results["messages"] != results["syndrome"]:
@@ -295,11 +294,11 @@ def _check_decode():
     return problems, "1 walkthrough"
 
 
-def _check_simulations(trials: int = 10):
+def _check_simulations():
     problems = []
     fxs = decodable_fixtures()
     for fx in fxs:
-        problems += run_simulations(fx, trials)
+        problems += run_simulations(fx, 10)
         c = fx.code
         _, M = lm_params(c.n, c.k, c.delta)
         t = (M + 1) // 2
@@ -309,7 +308,7 @@ def _check_simulations(trials: int = 10):
         rep = simulate(c, [()] * c.k, bad, horizon)
         if rep.constraint_ok is not False:
             problems.append(f"{fx.name}: adversarial pattern not flagged")
-    return problems, f"{len(fxs)} codes x {trials} trials"
+    return problems, f"{len(fxs)} codes x 10 trials"
 
 
 def _check_griesmer():

@@ -51,6 +51,7 @@ from .poly import series_div
 from .rng import XorShift64Star
 
 SEARCH_BUDGET = 1 << 24
+SEEDED_TRIES = 100000  # random candidates a seeded search draws
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def theorem_a_check(n: int, k: int, rows, cols) -> bool:
     return det > 0
 
 
-def smallest_prime_superregular(n: int, prime_limit: int = 100000) -> int:
+def smallest_prime_superregular(n: int) -> int:
     """Least prime p such that the n-th binomial Toeplitz matrix stays
     superregular over GF(p)."""
     if n < 2:
@@ -212,10 +213,9 @@ def smallest_prime_superregular(n: int, prime_limit: int = 100000) -> int:
     if n > 8:
         raise BudgetExceeded("minor enumeration beyond 8x8 not supported")
     minors = list(_integer_minors(binomial_toeplitz(n)))
-    for p in filter(is_prime, range(2, prime_limit + 1)):
-        if all(m % p for m in minors):
-            return p
-    raise BadParams("no prime found below the limit")
+    # a prime above every |minor| divides none of them, so this returns
+    return next(p for p in itertools.count(2)
+                if is_prime(p) and all(m % p for m in minors))
 
 
 # --- searches --------------------------------------------------------------
@@ -226,7 +226,6 @@ def search_toeplitz(
     field: FiniteField,
     mode: str = "exhaustive",
     seed: int | None = None,
-    max_tries: int = 100000,
     budget: int = SEARCH_BUDGET,
 ) -> LowerToeplitz | None:
     """Find a superregular l x l Toeplitz matrix over the field, or None.
@@ -235,8 +234,9 @@ def search_toeplitz(
     superregularity and a zero t_1 never is).  Exhaustive mode returns the
     first hit of (t_2, ..., t_l) in lexicographic order and raises
     BudgetExceeded once the shift classes it was due to check (C_{k-1} per
-    candidate t_k, not the determinants made) exceed ``budget``; seeded
-    mode draws columns from the xorshift64* stream.
+    candidate t_k, not the determinants made) exceed ``budget``; its None
+    proves that no such matrix exists.  Seeded mode draws up to
+    SEEDED_TRIES columns from the xorshift64* stream; its None proves nothing.
     """
     if l < 1:
         raise BadParams("size must be positive")
@@ -273,7 +273,7 @@ def search_toeplitz(
             col[-1] += 1
     if mode == "seeded":
         rng = XorShift64Star(0 if seed is None else seed)
-        for _ in range(max_tries):
+        for _ in range(SEEDED_TRIES):
             tail = tuple(rng.below(q) for _ in range(l - 1))
             T = LowerToeplitz(field, (1,) + tail)
             if is_superregular(T):
@@ -322,14 +322,15 @@ def search_general_toeplitz(
     field: FiniteField,
     mode: str = "exhaustive",
     seed: int | None = None,
-    max_tries: int = 100000,
     budget: int = SEARCH_BUDGET,
 ):
     """Find an l x l general Toeplitz matrix with all minors nonzero.
 
     Every entry is a 1 x 1 minor, so only nonzero diagonals are tried; the
     main diagonal is normalized to 1 by the scaling freedom.  Returns the
-    matrix rows or None.
+    matrix rows or None.  Exhaustive mode raises BudgetExceeded up front
+    when the (q-1)^(2l-2) candidates exceed ``budget``; seeded mode draws
+    up to SEEDED_TRIES candidates.
     """
     if l < 1:
         raise BadParams("size must be positive")
@@ -353,7 +354,7 @@ def search_general_toeplitz(
         return None
     if mode == "seeded":
         rng = XorShift64Star(0 if seed is None else seed)
-        for _ in range(max_tries):
+        for _ in range(SEEDED_TRIES):
             rest = tuple(1 + rng.below(q - 1) for _ in range(2 * l - 2))
             rows = general_toeplitz(field, candidate(rest))
             if all_minors_nonzero(field, rows):

@@ -150,6 +150,20 @@ def test_construct_dual(tmp_path, capsys):
     assert c.gen is not None and c.par is None
 
 
+def test_construct_searches_for_the_least_column(capsys):
+    rc, out, _ = run(capsys, "construct", "--n", "2", "--delta", "3",
+                     "--field", "GF(2^5;1,0,1,0,0,1)", "--format", "csv")
+    assert rc == 0
+    assert 'toeplitz,"1,1,2,3,8,1,26"' in out
+
+
+def test_construct_dual_rejects_n_below_two(capsys):
+    rc, out, err = run(capsys, "construct", "--n", "1", "--delta", "2",
+                       "--dual", "--field", "GF(2^2;1,1,1)")
+    assert rc == 1 and out == ""
+    assert err.startswith("error[BAD_PARAMS]")
+
+
 def test_construct_rejects_bad_column(capsys):
     rc, out, err = run(capsys, "construct", "--n", "2", "--delta", "2",
                        "--field", "GF(2^3;1,1,0,1)", "--toeplitz", "1,2,5,3,7")

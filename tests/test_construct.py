@@ -11,13 +11,13 @@ from convmds.construct import (build_hhat, column_property_holds,
                                construct_dual_mds, construct_strongly_mds,
                                required_tau, solve_ab)
 from convmds.distances import lm_params, profile, singleton_bound
-from convmds.errors import (BadParams, DivisibilityViolated,
+from convmds.errors import (BadParams, BudgetExceeded, DivisibilityViolated,
                             NoSuperregularFound, NotSuperregular,
                             ShapeMismatch)
 from convmds.fixtures import fixture, reference_toeplitz
 from convmds.galois import standard_field
 from convmds.poly import poly_coef, poly_norm, series_div
-from convmds.superregular import toeplitz
+from convmds.superregular import search_toeplitz, toeplitz
 
 F4 = standard_field(4)
 F8 = standard_field(8)
@@ -141,6 +141,31 @@ def test_pipeline_search_failure():
     # no superregular 5x5 Toeplitz matrix exists over GF(2)
     with pytest.raises(NoSuperregularFound):
         construct_strongly_mds(2, 2, standard_field(2))
+
+
+def test_search_takes_the_least_column():
+    # tau = 7 and 8: q^(tau-1) is far above the default budget, yet the
+    # exhaustive search reaches its first hit after a few thousand classes
+    F32 = standard_field(32)
+    trace = construct_strongly_mds(2, 3, F32)
+    assert trace.toeplitz.col == (1, 1, 2, 3, 8, 1, 26)
+    assert trace.toeplitz.col == search_toeplitz(7, F32).col
+    assert all(v is True for k, v in trace.certificates.items() if k != "d_c_M")
+    trace = construct_strongly_mds(3, 2, standard_field(64))
+    assert trace.toeplitz.col == (1, 1, 2, 3, 8, 7, 1, 62)
+
+
+def test_search_miss_is_a_proof_and_the_budget_holds():
+    # the exhaustive search proves that no 10x10 exists over GF(8)
+    with pytest.raises(NoSuperregularFound, match="exists"):
+        construct_strongly_mds(3, 3, F8)
+    with pytest.raises(BudgetExceeded):
+        construct_strongly_mds(2, 3, standard_field(32), budget=1000)
+
+
+def test_dual_rejects_n_below_two():
+    with pytest.raises(BadParams):
+        construct_dual_mds(1, 2, F4)
 
 
 def test_field_mismatch_rejected():

@@ -137,3 +137,18 @@ def test_general_search():
     hit4 = search_general_toeplitz(3, F4)
     assert hit4 is not None and all_minors_nonzero(F4, hit4)
     assert not all_minors_nonzero(F2, [[1, 1], [1, 1]])
+
+
+def test_general_search_seeded_budget_and_mode():
+    for seed in (0, 1, 7):
+        hit = search_general_toeplitz(3, F4, mode="seeded", seed=seed)
+        again = search_general_toeplitz(3, F4, mode="seeded", seed=seed)
+        assert hit is not None and hit == again
+        assert all_minors_nonzero(F4, hit)
+    assert search_general_toeplitz(3, F4, mode="seeded", seed=0) == [
+        [1, 3, 3], [3, 1, 3], [3, 3, 1]]
+    # 15^8 candidates against the default budget of 2^24: refused up front
+    with pytest.raises(BudgetExceeded):
+        search_general_toeplitz(5, standard_field(16))
+    with pytest.raises(BadParams):
+        search_general_toeplitz(3, F4, mode="psychic")
