@@ -163,11 +163,7 @@ def cmd_superregular(args) -> int:
         print(_flag(is_superregular(T)))
         return 0
     field = parse_field(args.field)
-    kw = {"mode": args.mode}
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if args.budget:
-        kw["budget"] = args.budget
+    kw = {"budget": args.budget} if args.budget else {}
     if args.general:
         rows = search_general_toeplitz(args.search, field, **kw)
         if rows is None:
@@ -227,7 +223,7 @@ def cmd_simulate(args) -> int:
     kw = {"budget": args.budget} if args.budget else {}
     rows = []
     recovered = flagged = 0
-    trials = channel_trials(c, args.trials, args.seed or 0, horizon,
+    trials = channel_trials(c, args.trials, args.seed, horizon,
                             args.adversarial)
     for trial, (msg, err) in enumerate(trials):
         rep = simulate(c, msg, err, horizon, paranoid=args.paranoid, **kw)
@@ -274,11 +270,6 @@ def cmd_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized step")
-    common.add_argument("--budget", type=int, default=None,
-                        help="work cap for searches: candidates, supports "
-                        "or Toeplitz shift classes")
     common.add_argument("--format", choices=("text", "csv"), default="text",
                         help="table output style")
 
@@ -319,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--search", type=int, default=None, metavar="SIZE",
                     help="search for a superregular SIZExSIZE matrix")
     ps.add_argument("--field", default=None, help="field spec for --search")
-    ps.add_argument("--mode", choices=("exhaustive", "seeded"),
-                    default="exhaustive")
     ps.add_argument("--general", action="store_true",
                     help="search full Toeplitz matrices (all minors nonzero)")
     ps.set_defaults(fn=cmd_superregular)
@@ -343,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="overload one window beyond the decodable weight")
     pm.add_argument("--horizon", type=int, default=None)
     pm.add_argument("--paranoid", action="store_true")
+    pm.add_argument("--seed", type=int, default=0,
+                    help="seed of the channel's generator stream")
     pm.set_defaults(fn=cmd_simulate)
 
     pu = sub.add_parser("dual", parents=[common],
@@ -356,6 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--only", default=None,
                     help="comma separated subset of check names")
     pt.set_defaults(fn=cmd_selftest)
+
+    for searching in (pc, pd, pk, ps, pe, pm):
+        searching.add_argument("--budget", type=int, default=None,
+                               help="work cap for searches: candidates, "
+                               "supports or Toeplitz shift classes")
     return p
 
 

@@ -196,21 +196,22 @@ def _check_superregular_refs():
 
 def _check_superregular_search():
     problems = []
-    F4 = standard_field(4)
     # first lexicographic hits of the exhaustive search, None for no hit
-    golds = [(2, 2, (1, 1)), (5, 8, (1, 1, 2, 6, 3)),
+    golds = [(2, 2, (1, 1)), (3, 4, (1, 1, 2)), (5, 8, (1, 1, 2, 6, 3)),
              (6, 16, (1, 1, 2, 3, 8, 1)), (6, 8, None)]
     for l, q, want in golds:
         hit = search_toeplitz(l, standard_field(q))
         if (hit and hit.col) != want:
             problems.append(f"{l}x{l} over GF({q}): got {hit and hit.col}")
-    if search_toeplitz(3, F4) is None:
-        problems.append("3x3 over GF(4): no lower triangular hit")
-    if search_general_toeplitz(3, F4) is None:
-        problems.append("3x3 over GF(4): no general hit")
-    if search_general_toeplitz(4, F4) is not None:
-        problems.append("4x4 over GF(4): unexpected general hit")
-    return problems, f"{len(golds) + 3} searches"
+    # first hits of the general search, the diagonals top right first
+    general = [(3, 4, [[1, 2, 1], [1, 1, 2], [2, 1, 1]]), (4, 4, None),
+               (5, 16, [[1, 3, 2, 1, 1], [3, 1, 3, 2, 1], [14, 3, 1, 3, 2],
+                        [10, 14, 3, 1, 3], [9, 10, 14, 3, 1]])]
+    for l, q, want in general:
+        rows = search_general_toeplitz(l, standard_field(q))
+        if rows != want:
+            problems.append(f"general {l}x{l} over GF({q}): got {rows}")
+    return problems, f"{len(golds) + len(general)} searches"
 
 
 def _check_binomial():

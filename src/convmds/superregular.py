@@ -24,17 +24,19 @@ commutative ring the minor on (I | J) equals that on its flip, rows k+1-J
 and columns k+1-I (J A^T J for the reversal J, as J T^T J = T).  The flip
 keeps (i_r, j_1) = (k, 1) and indecomposability, so each level keeps one
 pair per flip orbit: levels 1..8 hold 352 pairs for 626 of the 3432 shift
-classes.  The search grows a column depth first and checks only level k when
-it sets t_k.  It only explores t_2 = 1: the 1 x 1 minor t_2 rules out
-t_2 = 0, and the diagonal similarity diag(a^i) T diag(a^-i) turns any
-superregular column with t_2 = 1/a into one with t_2 = 1 (see
-``search_toeplitz``).
+classes.  A general (full) l x l Toeplitz matrix has no structural zeros and
+is called superregular when all its minors are nonzero.  Entry (i, j) lies on
+diagonal i - j + l - 1, and level s holds the minors whose last diagonal,
+i_r - j_1 + l - 1, is s: one pair per shift class and, as J A^T J = A for
+every Toeplitz A, per flip orbit (36 determinants for the 50 classes of a
+4x4).  Both exhaustive searches grow a prefix depth first in lexicographic
+order (``_first_hit``), check a level when they set its entry and charge
+each candidate the level's shift classes; a None proves that none exists.
 
 Besides the direct minor test this module implements the closure properties
 (inverse, leading principal submatrices), binomial Toeplitz matrices with
 their banded-power positivity criterion, the smallest prime over which the
-n-th binomial matrix stays superregular, and exhaustive or seeded searches
-for superregular columns.
+n-th binomial matrix stays superregular, and the searches.
 """
 
 from __future__ import annotations
@@ -122,10 +124,10 @@ def _minor(col, offsets):
     return [[col[d] if d >= 0 else 0 for d in row] for row in offsets]
 
 
-def _level_ok(F: FiniteField, col) -> bool:
-    """Whether every minor of level len(col) is nonzero for this column."""
+def _level_ok(F: FiniteField, col, level=minor_level) -> bool:
+    """Whether every minor of level(len(col)) is nonzero for this column."""
     return all(linalg.mat_det(F, _minor(col, offsets))
-               for offsets in minor_level(len(col)))
+               for offsets in level(len(col)))
 
 
 def is_superregular(T: LowerToeplitz) -> bool:
@@ -221,13 +223,37 @@ def smallest_prime_superregular(n: int) -> int:
 # --- searches --------------------------------------------------------------
 
 
-def search_toeplitz(
-    l: int,
-    field: FiniteField,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    budget: int = SEARCH_BUDGET,
-) -> LowerToeplitz | None:
+def _first_hit(F, ranges, given, level, charge, budget):
+    """First list in the product of ``ranges`` whose every level holds.
+
+    Depth first in lexicographic order: making the prefix n long charges
+    charge[n] (BudgetExceeded past ``budget``) and checks the minors of
+    level(n), and a zero one prunes every extension, so None proves that
+    no list passes.  The first ``given`` entries (one value each) are not
+    charged or checked.  A loop: a closure that calls itself is a cycle.
+    """
+    prefix, spent = [r[0] for r in ranges[:given + 1]], 0
+    while True:
+        n = len(prefix)
+        spent += charge[n]
+        if spent > budget:
+            raise BudgetExceeded(
+                f"exhaustive search over budget {budget} at {prefix}")
+        if _level_ok(F, prefix, level):
+            if n == len(ranges):
+                return prefix
+            prefix.append(ranges[n][0])
+            continue
+        while len(prefix) > given and prefix[-1] == ranges[len(prefix) - 1][-1]:
+            prefix.pop()  # this position's values are used up
+        if len(prefix) == given:
+            return None
+        prefix[-1] += 1
+
+
+def search_toeplitz(l: int, field: FiniteField, mode: str = "exhaustive",
+                    seed: int | None = None, budget: int = SEARCH_BUDGET
+                    ) -> LowerToeplitz | None:
     """Find a superregular l x l Toeplitz matrix over the field, or None.
 
     Columns are normalized to t_1 = 1 (scaling does not change
@@ -244,33 +270,17 @@ def search_toeplitz(
     if l == 1:
         return LowerToeplitz(field, (1,))
     if mode == "exhaustive":
-        # Depth first in lexicographic order: setting t_k checks level k, and
-        # a failed level prunes every column that extends the prefix.  Only
-        # t_2 = 1 is explored.  t_2 = 0 fails the 1 x 1 minor (2 | 1).  For
-        # t_2 != 0 and a = 1/t_2, D T D^-1 with D = diag(1, a, ..., a^(l-1))
-        # is lower Toeplitz with column a^(k-1) t_k, so t_1 = t_2 = 1, and
-        # its minor on (rows | cols) is that of T times a^(sum rows - sum
-        # cols), so it is superregular exactly when T is.  Hence if no column
-        # with t_2 = 1 is a hit, none is; and as every t_2 = 0 column fails,
-        # the first hit in product order has t_2 = 1.  Each candidate t_k
-        # is charged C_{k-1} against the budget.  A loop, not a nested
-        # function: a closure that calls itself is a reference cycle.
-        col, spent = [1, 1], 0
-        while True:
-            spent += comb(2 * len(col) - 2, len(col) - 1) // len(col)
-            if spent > budget:
-                raise BudgetExceeded(
-                    f"exhaustive search over budget {budget} at {col}")
-            if _level_ok(field, col):
-                if len(col) == l:
-                    return LowerToeplitz(field, tuple(col))
-                col.append(0)
-                continue
-            while len(col) > 2 and col[-1] == q - 1:
-                col.pop()  # this level's values are used up
-            if len(col) == 2:
-                return None  # no column with t_2 = 1 is a hit
-            col[-1] += 1
+        # Setting t_k checks level k; only t_2 = 1 is explored.  t_2 = 0
+        # fails the 1 x 1 minor (2 | 1).  For t_2 != 0 and a = 1/t_2,
+        # D T D^-1 with D = diag(1, a, ..., a^(l-1)) is lower Toeplitz with
+        # column a^(k-1) t_k, so t_1 = t_2 = 1, and its minor on (rows |
+        # cols) is that of T times a^(sum rows - sum cols), so it is
+        # superregular exactly when T is.  Hence if no column with t_2 = 1
+        # is a hit, none is; and as every t_2 = 0 column fails, the first
+        # hit in product order has t_2 = 1.
+        col = _first_hit(field, [range(1, 2)] * 2 + [range(q)] * (l - 2), 1, minor_level,
+                         [0] + [comb(2 * k, k) // (k + 1) for k in range(l)], budget)
+        return None if col is None else LowerToeplitz(field, tuple(col))
     if mode == "seeded":
         rng = XorShift64Star(0 if seed is None else seed)
         for _ in range(SEEDED_TRIES):
@@ -289,8 +299,7 @@ def general_toeplitz(field: FiniteField, diagonals):
     """Square Toeplitz matrix from its 2l-1 diagonals, upper-right first.
 
     Entry (i, j) is diagonals[i - j + l - 1]; index l-1 is the main diagonal.
-    Returns plain rows.
-    """
+    Returns plain rows."""
     d = list(diagonals)
     if len(d) % 2 == 0:
         raise BadParams("a general Toeplitz matrix needs 2l-1 diagonals")
@@ -301,63 +310,56 @@ def general_toeplitz(field: FiniteField, diagonals):
     return [[d[i - j + l - 1] for j in range(l)] for i in range(l)]
 
 
-def all_minors_nonzero(F: FiniteField, rows) -> bool:
-    """Whether every square submatrix of any order is nonsingular.
+def general_classes(l: int, s: int) -> int:
+    """Shift classes of the l x l pairs diagonal s decides, without a list.
 
-    This is the superregularity notion for matrices without structural
-    zeros: no minor is forced to vanish, so all of them must not.
-    """
-    l = len(rows)
-    for r in range(1, l + 1):
-        for ri in itertools.combinations(range(l), r):
-            for ci in itertools.combinations(range(l), r):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                if linalg.mat_det(F, sub) == 0:
-                    return False
-    return True
+    With m = s - l + 1, the pairs within 1..n with i_r = a and j_1 = a - m
+    number sum_r C(a-1, r-1) C(n-a+m, r-1) = C(n-1+m, a-1) (Vandermonde).
+    A class has one pair with min(i_1, j_1) = 1; the others are the pairs
+    within 1..l-1, shifted by one."""
+    m = s - l + 1
+    return sum(sign * comb(n - 1 + m, a - 1) for n, sign in ((l, 1), (l - 1, -1))
+               for a in range(max(1, 1 + m), min(n, n + m) + 1))
 
 
-def search_general_toeplitz(
-    l: int,
-    field: FiniteField,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    budget: int = SEARCH_BUDGET,
-):
+@lru_cache(maxsize=None)
+def general_level(l: int, s: int) -> tuple:
+    """The pairs whose l x l Toeplitz minor diagonal s decides (i_r - j_1 =
+    s - l + 1): one per shift class (min(i_1, j_1) = 1) and flip orbit (the
+    one with smaller offsets), as rows of diagonal indices i - j + l - 1,
+    smaller first."""
+    m, level, shared = s - l + 1, [], {}
+    for size in range(1, l + 1):
+        for a in range(max(size, 1 + m), min(l, l + m) + 1):
+            b = a - m  # rows end at a, columns start at b
+            for head in itertools.combinations(range(1, a), size - 1):
+                rows = head + (a,)
+                if 1 not in (rows[0], b):
+                    continue  # not the class's pair with min(i_1, j_1) = 1
+                for tail in itertools.combinations(range(b + 1, l + 1), size - 1):
+                    pair = tuple(tuple(i - j + l - 1 for j in (b,) + tail) for i in rows)
+                    if pair <= tuple(zip(*pair[::-1]))[::-1]:  # flip: anti-transpose
+                        level.append(tuple(shared.setdefault(r, r) for r in pair))
+    return tuple(level)
+
+
+def search_general_toeplitz(l: int, field: FiniteField,
+                            budget: int = SEARCH_BUDGET):
     """Find an l x l general Toeplitz matrix with all minors nonzero.
 
-    Every entry is a 1 x 1 minor, so only nonzero diagonals are tried; the
-    main diagonal is normalized to 1 by the scaling freedom.  Returns the
-    matrix rows or None.  Exhaustive mode raises BudgetExceeded up front
-    when the (q-1)^(2l-2) candidates exceed ``budget``; seeded mode draws
-    up to SEEDED_TRIES candidates.
+    Entries are 1 x 1 minors and scaling scales every minor, so the main
+    diagonal is 1 and the others range over 1..q-1.  The diagonals are set
+    depth first, top right first, and setting diagonal s checks
+    ``general_level(l, s)``.  Returns the rows of the first hit in
+    lexicographic order, or None, which proves that no such matrix exists.
+    Each candidate for diagonal s is charged its ``general_classes`` shift
+    classes (before the level is built); BudgetExceeded past ``budget``.
     """
     if l < 1:
         raise BadParams("size must be positive")
-    q = field.q
-    if l == 1:
-        return [[1]]
-    nonzero = range(1, q)
-
-    def candidate(rest):
-        return rest[:l - 1] + (1,) + rest[l - 1:]
-
-    if mode == "exhaustive":
-        space = (q - 1) ** (2 * l - 2)
-        if space > budget:
-            raise BudgetExceeded(
-                f"exhaustive search needs {space} candidates, budget {budget}")
-        for rest in itertools.product(nonzero, repeat=2 * l - 2):
-            rows = general_toeplitz(field, candidate(rest))
-            if all_minors_nonzero(field, rows):
-                return rows
-        return None
-    if mode == "seeded":
-        rng = XorShift64Star(0 if seed is None else seed)
-        for _ in range(SEEDED_TRIES):
-            rest = tuple(1 + rng.below(q - 1) for _ in range(2 * l - 2))
-            rows = general_toeplitz(field, candidate(rest))
-            if all_minors_nonzero(field, rows):
-                return rows
-        return None
-    raise BadParams(f"unknown search mode {mode!r}")
+    nonzero = range(1, field.q)
+    diagonals = _first_hit(
+        field, [nonzero] * (l - 1) + [range(1, 2)] + [nonzero] * (l - 1), 0,
+        lambda n: general_level(l, n - 1),
+        [0] + [general_classes(l, s) for s in range(2 * l - 1)], budget)
+    return None if diagonals is None else general_toeplitz(field, diagonals)

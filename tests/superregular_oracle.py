@@ -3,10 +3,12 @@
 These are the direct forms the package's level-by-level code replaces: every
 proper pair gets its own determinant, and the exhaustive search tests each
 column of ``itertools.product`` order from scratch.  ``unhalved_level`` is
-the minor table with both pairs of every flip orbit.  ``check_equivalences``
-evaluates six equivalent characterizations of superregularity (weight of
-column combinations, span conditions, bounded-weight kernel vectors of
-[I | T]) independently, so they can be cross-checked.
+the minor table with both pairs of every flip orbit.  ``all_minors_nonzero``
+and ``first_general_toeplitz`` do the same for general Toeplitz matrices.
+``check_equivalences`` evaluates six equivalent characterizations of
+superregularity (weight of column combinations, span conditions,
+bounded-weight kernel vectors of [I | T]) independently, so they can be
+cross-checked.
 """
 
 import itertools
@@ -16,7 +18,8 @@ from convmds import linalg
 from convmds.errors import BadParams, BudgetExceeded
 from convmds.linalg import mat_det
 from convmds.rng import XorShift64Star
-from convmds.superregular import LowerToeplitz, is_superregular
+from convmds.superregular import (LowerToeplitz, general_toeplitz,
+                                  is_superregular)
 
 
 def proper_pairs(l, r=None):
@@ -76,6 +79,35 @@ def seeded_column(F, l, seed, max_tries=100000):
         col = (1,) + tuple(rng.below(F.q) for _ in range(l - 1))
         if superregular_column(F, col):
             return col
+    return None
+
+
+def all_minors_nonzero(F, rows) -> bool:
+    """Whether every square submatrix of any order is nonsingular.
+
+    This is the superregularity notion for matrices without structural
+    zeros: no minor is forced to vanish, so all of them must not.
+    """
+    l = len(rows)
+    for r in range(1, l + 1):
+        for ri in itertools.combinations(range(l), r):
+            for ci in itertools.combinations(range(l), r):
+                sub = [[rows[i][j] for j in ci] for i in ri]
+                if linalg.mat_det(F, sub) == 0:
+                    return False
+    return True
+
+
+def first_general_toeplitz(F, l):
+    """First l x l general Toeplitz matrix with all minors nonzero, as rows.
+
+    Nonzero diagonals, top right first, in ``itertools.product`` order, with
+    the main diagonal fixed to 1.
+    """
+    for rest in itertools.product(range(1, F.q), repeat=2 * l - 2):
+        rows = general_toeplitz(F, rest[:l - 1] + (1,) + rest[l - 1:])
+        if all_minors_nonzero(F, rows):
+            return rows
     return None
 
 

@@ -307,4 +307,16 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["superregular", "--search", "3"])
     assert exc.value.code == 2
+    # an option the subcommand does not read
+    for argv in (["classify", "--code", f"{FIX}/smds_3_1_1_q4.code",
+                  "--seed", "1"],
+                 ["dual", "--code", f"{FIX}/smds_3_1_1_q4.code",
+                  "--budget", "5"],
+                 ["selftest", "--budget", "5"],
+                 ["superregular", "--search", "3", "--field", "GF(5)",
+                  "--mode", "seeded"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
+

@@ -1,20 +1,21 @@
 """Superregular Toeplitz matrices: checks, inverses, searches, binomial facts."""
 
+import time
 from math import comb
 
 import pytest
 
 from convmds.errors import BadParams, BudgetExceeded, Singular
 from convmds.galois import standard_field
-from convmds.superregular import (LowerToeplitz, all_minors_nonzero,
-                                  binomial_toeplitz, general_toeplitz,
-                                  inverse_superregular, is_superregular,
-                                  proper_minors_positive,
+from convmds.superregular import (LowerToeplitz, binomial_toeplitz,
+                                  general_toeplitz, inverse_superregular,
+                                  is_superregular, proper_minors_positive,
                                   search_general_toeplitz, search_toeplitz,
                                   smallest_prime_superregular, theorem_a_check,
                                   toeplitz)
 from algebra_helpers import mat_mul
-from superregular_oracle import check_equivalences, proper_pairs
+from superregular_oracle import (all_minors_nonzero, check_equivalences,
+                                 proper_pairs)
 
 F2 = standard_field(2)
 F3 = standard_field(3)
@@ -139,16 +140,31 @@ def test_general_search():
     assert not all_minors_nonzero(F2, [[1, 1], [1, 1]])
 
 
-def test_general_search_seeded_budget_and_mode():
-    for seed in (0, 1, 7):
-        hit = search_general_toeplitz(3, F4, mode="seeded", seed=seed)
-        again = search_general_toeplitz(3, F4, mode="seeded", seed=seed)
-        assert hit is not None and hit == again
-        assert all_minors_nonzero(F4, hit)
-    assert search_general_toeplitz(3, F4, mode="seeded", seed=0) == [
-        [1, 3, 3], [3, 1, 3], [3, 3, 1]]
-    # 15^8 candidates against the default budget of 2^24: refused up front
+def test_general_search_finds_5x5_over_gf16():
+    F16 = standard_field(16)
+    hit = search_general_toeplitz(5, F16)
+    assert hit == [[1, 3, 2, 1, 1], [3, 1, 3, 2, 1], [14, 3, 1, 3, 2],
+                   [10, 14, 3, 1, 3], [9, 10, 14, 3, 1]]
+    assert all_minors_nonzero(F16, hit)
+
+
+def test_general_search_proves_none_for_5x5_over_gf8():
+    assert search_general_toeplitz(5, standard_field(8)) is None
+
+
+@pytest.mark.parametrize("l,q,least,found", [(4, 4, 282, False),
+                                             (5, 16, 3132, True)])
+def test_general_budget_boundaries(l, q, least, found):
+    # the budget counts the shift classes due as the search runs
+    F = standard_field(q)
+    assert (search_general_toeplitz(l, F, budget=least) is not None) == found
     with pytest.raises(BudgetExceeded):
-        search_general_toeplitz(5, standard_field(16))
-    with pytest.raises(BadParams):
-        search_general_toeplitz(3, F4, mode="psychic")
+        search_general_toeplitz(l, F, budget=least - 1)
+
+
+def test_general_search_refuses_a_large_size_quickly():
+    # the levels are built one diagonal at a time, each after its charge
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        search_general_toeplitz(15, standard_field(16), budget=1000)
+    assert time.perf_counter() - start < 1

@@ -1,22 +1,24 @@
 """Level-by-level superregularity against the direct all-pairs oracle."""
 
+import itertools
 import random
 from math import comb
 
 import pytest
 
 from convmds.errors import BudgetExceeded
-from convmds.galois import standard_field
+from convmds.galois import parse_field, standard_field
 from convmds.fixtures import reference_toeplitz
 from convmds import linalg
 from convmds.linalg import det_bareiss, mat_det
 from convmds.superregular import (LowerToeplitz, binomial_toeplitz,
+                                  general_classes, general_level,
                                   inverse_superregular, is_superregular,
                                   minor_level, proper_minors_positive,
-                                  search_toeplitz,
+                                  search_general_toeplitz, search_toeplitz,
                                   smallest_prime_superregular, toeplitz)
-from superregular_oracle import (first_column, flip, proper_pairs,
-                                 seeded_column, submatrix,
+from superregular_oracle import (first_column, first_general_toeplitz, flip,
+                                 proper_pairs, seeded_column, submatrix,
                                  superregular_column, unhalved_level)
 
 SMALL_FIELDS = (2, 3, 4, 5, 7, 8, 16)
@@ -201,6 +203,37 @@ def test_exhaustive_first_hit_matches_oracle(l, q):
     F = standard_field(q)
     hit = search_toeplitz(l, F)
     assert (None if hit is None else hit.col) == first_column(F, l)
+
+
+def test_general_levels_keep_one_pair_per_shift_class_and_flip_orbit():
+    assert [general_classes(4, s) for s in range(7)] == [1, 1, 2, 4, 8, 14, 20]
+    assert [len(general_level(4, s)) for s in range(7)] == [
+        1, 1, 2, 3, 6, 9, 14]
+    for l in range(1, 6):
+        # every pair of the l x l matrix, as diagonal indices, by the last
+        # diagonal it reads: equal rows of indices means one shift class
+        classes = [set() for _ in range(2 * l - 1)]
+        for size in range(1, l + 1):
+            for rows in itertools.combinations(range(l), size):
+                for cols in itertools.combinations(range(l), size):
+                    classes[rows[-1] - cols[0] + l - 1].add(
+                        tuple(tuple(i - j + l - 1 for j in cols)
+                              for i in rows))
+        for s, full in enumerate(classes):
+            kept = general_level(l, s)
+            assert general_classes(l, s) == len(full)
+            assert len(set(kept)) == len(kept) and set(kept) <= full
+            assert all(p in kept or flip(p) in kept for p in full)
+            assert all(p[-1][0] == s == max(map(max, p)) for p in kept)
+
+
+@pytest.mark.parametrize("field", ["GF(3)", "GF(7)", "GF(2^2;1,1,1)",
+                                   "GF(2^3;1,1,0,1)", "GF(2^4;1,1,0,0,1)",
+                                   "GF(3^2;2,1,1)"])
+def test_general_first_hit_matches_oracle(field):
+    F = parse_field(field)
+    for l in range(1, 5):
+        assert search_general_toeplitz(l, F) == first_general_toeplitz(F, l)
 
 
 @pytest.mark.parametrize("l,q", [(5, 8), (6, 16), (7, 32)])
