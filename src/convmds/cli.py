@@ -22,8 +22,9 @@ import sys
 from . import selftest as selftest_mod
 from .code import dual, format_code_file, load_code
 from .construct import construct_dual_mds, construct_strongly_mds
-from .decoder import (channel_trials, feedback_decode, load_received,
-                      save_received, simulate, word_from_polys)
+from .decoder import (DEFAULT_SOLVE_BUDGET, channel_trials, decoding_radius,
+                      feedback_decode, load_received, save_received,
+                      simulate, simulation_horizon, word_from_polys)
 from .distances import DEFAULT_BUDGET, lm_params, profile
 from .errors import BadParams, CodingError, NoSuperregularFound, ParseError
 from .galois import parse_field
@@ -87,8 +88,7 @@ def cmd_construct(args) -> int:
     field = parse_field(args.field)
     T = toeplitz(field, _ints(args.toeplitz)) if args.toeplitz else None
     build = construct_dual_mds if args.dual else construct_strongly_mds
-    trace = build(args.n, args.delta, field, T=T,
-                  budget=args.budget or SEARCH_BUDGET)
+    trace = build(args.n, args.delta, field, T=T, budget=args.budget)
     c = trace.code
     rows = [
         ("field", field),
@@ -110,8 +110,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    prof = profile(load_code(args.code), args.horizon,
-                   args.budget or DEFAULT_BUDGET)
+    prof = profile(load_code(args.code), args.horizon, args.budget)
     L, M, sing = prof.L, prof.M, prof.singleton
     rows = []
     for j, d in enumerate(prof.values):
@@ -136,7 +135,7 @@ def cmd_distances(args) -> int:
 
 def cmd_classify(args) -> int:
     c = load_code(args.code)
-    prof = profile(c, args.horizon, args.budget or DEFAULT_BUDGET)
+    prof = profile(c, args.horizon, args.budget)
     fd = prof.free_distance
     mds = True if fd.status == "exact" else None
     rows = [
@@ -163,16 +162,15 @@ def cmd_superregular(args) -> int:
         print(_flag(is_superregular(T)))
         return 0
     field = parse_field(args.field)
-    kw = {"budget": args.budget} if args.budget else {}
     if args.general:
-        rows = search_general_toeplitz(args.search, field, **kw)
+        rows = search_general_toeplitz(args.search, field, args.budget)
         if rows is None:
             raise NoSuperregularFound(
                 f"no general {args.search}x{args.search} hit over {field}")
         for row in rows:
             print(" ".join(str(x) for x in row))
         return 0
-    T = search_toeplitz(args.search, field, **kw)
+    T = search_toeplitz(args.search, field, budget=args.budget)
     if T is None:
         raise NoSuperregularFound(
             f"no {args.search}x{args.search} hit over {field}")
@@ -194,8 +192,7 @@ def _split_check(text: str):
 def cmd_decode(args) -> int:
     c = load_code(args.code)
     vhat = load_received(args.received)
-    kw = {"budget": args.budget} if args.budget else {}
-    rep = feedback_decode(vhat, c, paranoid=args.paranoid, **kw)
+    rep = feedback_decode(vhat, c, args.paranoid, args.budget)
     rows = [(cyc.j, cyc.syndrome_weight, cyc.method,
              " ".join(str(x) for x in cyc.eta0), "tail" if cyc.tail else "")
             for cyc in rep.cycles]
@@ -218,15 +215,13 @@ def cmd_simulate(args) -> int:
         raise BadParams(f"--trials must be at least 0, got {args.trials}")
     c = load_code(args.code)
     _, M = lm_params(c.n, c.k, c.delta)
-    t = (M + 1) // 2
-    horizon = args.horizon if args.horizon is not None else 12 + 2 * M
-    kw = {"budget": args.budget} if args.budget else {}
+    horizon = simulation_horizon(M) if args.horizon is None else args.horizon
     rows = []
     recovered = flagged = 0
     trials = channel_trials(c, args.trials, args.seed, horizon,
                             args.adversarial)
     for trial, (msg, err) in enumerate(trials):
-        rep = simulate(c, msg, err, horizon, paranoid=args.paranoid, **kw)
+        rep = simulate(c, msg, err, horizon, args.paranoid, args.budget)
         ok = rep.ok and rep.matched
         recovered += bool(ok)
         flagged += not rep.constraint_ok
@@ -237,7 +232,7 @@ def cmd_simulate(args) -> int:
     print()
     summary = [
         ("code", f"n={c.n} k={c.k} delta={c.delta}"),
-        ("M", M), ("t", t), ("trials", args.trials),
+        ("M", M), ("t", decoding_radius(M)), ("trials", args.trials),
         ("recovered", f"{recovered}/{args.trials}"),
         ("flagged", f"{flagged}/{args.trials}"),
     ]
@@ -348,8 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma separated subset of check names")
     pt.set_defaults(fn=cmd_selftest)
 
-    for searching in (pc, pd, pk, ps, pe, pm):
-        searching.add_argument("--budget", type=int, default=None,
+    for searching, budget in ((pc, SEARCH_BUDGET), (pd, DEFAULT_BUDGET),
+                              (pk, DEFAULT_BUDGET), (ps, SEARCH_BUDGET),
+                              (pe, DEFAULT_SOLVE_BUDGET),
+                              (pm, DEFAULT_SOLVE_BUDGET)):
+        searching.add_argument("--budget", type=int, default=budget,
                                help="work cap for searches: candidates, "
                                "supports or Toeplitz shift classes")
     return p

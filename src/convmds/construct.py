@@ -12,17 +12,17 @@ the lexicographically least superregular column, or proves none exists.
    exhaustively and recorded as a certificate.
 
 2. Find polynomials a (monic at D^0, degree <= delta) and b_2, ..., b_n
-   (degree <= delta) whose quotient series b_i/a reproduces the Laurent rows
-   of Hhat through D^M.  For delta < n-1 simply a = 1 and b = sum h_i D^i;
-   otherwise the a-coefficients solve a delta x (n-1)(M-delta) linear system
-   built from the Laurent rows, which the column property guarantees to be
-   solvable, and b is the truncated product of the series with a.
+   (degree <= delta) whose quotient series b_i/a reproduce the Laurent rows
+   of Hhat through D^M: the a-coefficients solve a linear system that the
+   column property makes consistent (with no equations when delta < n-1),
+   two eliminations pick the a of least degree, then least coefficients,
+   and b is the truncated product of the series with a.
 
-3. Reduce by the common monic gcd and return the code with parity check
-   H = [a, b_2, ..., b_n], re-validating that the result is basic of degree
-   delta and strongly MDS (certified through d^c_M of the code's column
-   distance profile, an independent route from the column property of
-   step 1).
+3. Return the code with parity check H = [a, b_2, ..., b_n], re-validating
+   that it is basic of degree delta and strongly MDS (certified through
+   d^c_M of its column distance profile, a route independent of step 1).
+   There is no gcd step: a common factor of a and the b_i would leave a
+   solution of smaller degree (``solve_ab``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
     SystemInconsistent,
 )
 from .galois import FiniteField
-from .poly import poly_divmod, poly_gcd, poly_mul, poly_norm, series_div
+from .poly import poly_mul, poly_norm, series_div
 from .superregular import (
     SEARCH_BUDGET,
     LowerToeplitz,
@@ -83,11 +83,8 @@ def build_hhat(T: LowerToeplitz, n: int, M: int) -> SlidingMatrix:
     if T.field is None or not is_superregular(T):
         raise NotSuperregular("input matrix is not superregular over its field")
     rows = T.rows()
-    data = []
-    for r in range(M + 1):
-        row = [1 if s == r else 0 for s in range(M + 1)]
-        row.extend(rows[(r + 1) * (n - 1) - 1])
-        data.append(row)
+    data = [[1 if s == r else 0 for s in range(M + 1)]
+            + rows[(r + 1) * (n - 1) - 1] for r in range(M + 1)]
     S = SlidingMatrix(T.field, M, n, data)
     if not column_property_holds(S):
         raise ColumnPropertyFailed("window misses the strong-MDS column property")
@@ -95,15 +92,18 @@ def build_hhat(T: LowerToeplitz, n: int, M: int) -> SlidingMatrix:
 
 
 def solve_ab(S: SlidingMatrix, n: int, delta: int):
-    """Recover (a, [b_2..b_n]) whose series b_i/a matches the window rows.
+    """Recover (a, [b_2..b_n]) whose series b_i/a match the window rows.
 
-    When the defining linear system is underdetermined the solution with the
-    smallest degree of a is returned, ties broken by the lexicographically
-    smallest coefficient tuple (a_1, ..., a_delta).  It is computed directly:
-    d is the least degree whose system with a_{>d} = 0 is consistent, then
-    a_1, ..., a_d are pinned in turn, to 0 when that stays consistent and to
-    the forced value otherwise.  This is exact because an affine solution
-    set projects onto one coordinate as a single point or the whole field.
+    deg(h a) <= delta through D^M exactly when sum_i a_i h_{t-i} = -h_t for
+    t = delta+1..M and each of the n-1 series h.  The a returned has the
+    least degree d, ties broken by the least (a_1, ..., a_d), from two
+    ``linalg.solve`` calls: on the columns a_1..a_delta the solution is zero
+    past the least d, and on a_d..a_1 it sets a_1, a_2, ... to 0 whenever
+    the earlier entries allow it.  With no equations, a = 1.
+
+    No nonconstant g divides a and every b_i.  Scaled to g(0) = 1 (as
+    a(0) = 1), 1/g is a power series, so (b_i/g)/(a/g) = h_i through D^M
+    and a/g solves the system with a smaller degree than a.
     """
     F = S.field
     M = S.j
@@ -112,33 +112,15 @@ def solve_ab(S: SlidingMatrix, n: int, delta: int):
         raise ShapeMismatch(f"window at M={M} does not fit delta={delta}")
     hrows = systematic_h_rows(S)
     width = n - 1
-    if M == delta:
-        a = (1,)
-    else:
-        A, rhs = [], []  # (n-1)(M-delta) x delta, unknowns (a_delta, ..., a_1)
-        for c in range(M - delta):
-            for w in range(width):
-                A.append([hrows[M - delta + r - c][w] for r in range(delta)])
-                rhs.append(F.neg(hrows[M - c][w]))
-
-        def solve_pinned(pins):
-            """Solutions with a_i = v for every (i, v) in pins."""
-            unit = [[1 if r == delta - i else 0 for r in range(delta)]
-                    for i in pins]
-            return linalg.solve(F, A + unit, rhs + list(pins.values()))
-
-        for d in range(delta + 1):  # d = delta pins nothing
-            pins = dict.fromkeys(range(d + 1, delta + 1), 0)
-            if solve_pinned(pins) is not None:
-                break
-        else:
-            raise SystemInconsistent("window rows admit no matching denominator")
-        for i in range(1, d + 1):
-            pins[i] = 0
-            if solve_pinned(pins) is None:
-                del pins[i]
-                pins[i] = solve_pinned(pins)[0][delta - i]
-        a = poly_norm([1] + [pins[i] for i in range(1, delta + 1)])
+    eqs = [(t, w) for t in range(delta + 1, M + 1) for w in range(width)]
+    A = [[hrows[t - i][w] for i in range(1, delta + 1)] for t, w in eqs]
+    rhs = [F.neg(hrows[t][w]) for t, w in eqs]
+    x = linalg.solve(F, A, rhs)
+    if x is None:
+        raise SystemInconsistent("window rows admit no matching denominator")
+    d = max((i + 1 for i, v in enumerate(x) if v), default=0)
+    y = linalg.solve(F, [row[:d][::-1] for row in A], rhs)
+    a = poly_norm([1] + y[::-1])
     hpolys = [[hrows[t][w] for t in range(M + 1)] for w in range(width)]
     bs = [poly_norm(poly_mul(F, poly_norm(h), a)[: delta + 1]) for h in hpolys]
     if any(series_div(F, b, a, M + 1) != h for b, h in zip(bs, hpolys)):
@@ -169,9 +151,7 @@ def construct_strongly_mds(
 ) -> ConstructionTrace:
     """Full pipeline from a superregular matrix, ``T`` or else the least
     column ``search_toeplitz`` finds within ``budget``, to a certified code."""
-    if n < 2 or delta < 0:
-        raise BadParams(f"bad parameters n={n} delta={delta}")
-    tau = required_tau(n, delta)
+    tau = required_tau(n, delta)  # rejects n < 2 and delta < 0
     _, M = lm_params(n, n - 1, delta)
     if T is None:
         T = search_toeplitz(tau, field, budget=budget)
@@ -183,12 +163,6 @@ def construct_strongly_mds(
         raise BadParams("Toeplitz matrix field differs from the requested field")
     S = build_hhat(T, n, M)
     a, bs = solve_ab(S, n, delta)
-    g = a
-    for b in bs:
-        g = poly_gcd(field, g, b)
-    if len(g) > 1:
-        a = poly_divmod(field, a, g)[0]
-        bs = [poly_divmod(field, b, g)[0] for b in bs]
     code = make_code(field, n, n - 1, delta, par=[[a] + bs])
     certificates = {
         "column_property": True,  # verified inside build_hhat

@@ -31,6 +31,16 @@ DEFAULT_SOLVE_BUDGET = 1 << 20
 MAX_LENGTH = 1 << 16  # blocks in a received word or an error pattern
 
 
+def decoding_radius(M: int) -> int:
+    """Errors per window of M+1 blocks the decoder corrects: (M+1)//2."""
+    return (M + 1) // 2
+
+
+def simulation_horizon(M: int) -> int:
+    """Last time index of a simulated word when none is given: 12 + 2M."""
+    return 12 + 2 * M
+
+
 def _check_length(length: int) -> None:
     if length > MAX_LENGTH:
         raise BadParams(f"length {length} above the supported {MAX_LENGTH} blocks")
@@ -172,7 +182,7 @@ def solve_eta0(S, c: CodeSpec, t: int | None = None,
     n = c.n
     M = len(S) - 1
     if t is None:
-        t = (M + 1) // 2
+        t = decoding_radius(M)
     if plan is None:
         plan = _window_plan(c, M)
     _, sols = _eta_solutions(plan, list(S), t, budget)
@@ -265,7 +275,7 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
     n = c.n
     parity = _parity_row(c)
     _, M = lm_params(c.n, c.k, c.delta)
-    t = (M + 1) // 2
+    t = decoding_radius(M)
     T = vhat.horizon
     if T < M:
         raise BadParams(f"horizon {T} is shorter than one window (M={M})")
@@ -421,7 +431,7 @@ def channel_trials(c: CodeSpec, trials: int, seed: int, horizon: int,
     so neighbouring run seeds share no pattern.  Patterns span horizon + 1
     blocks."""
     _, M = lm_params(c.n, c.k, c.delta)
-    t = (M + 1) // 2
+    t = decoding_radius(M)
     rng = XorShift64Star(97 + seed)
     for _ in range(trials):
         msg = [tuple(rng.below(c.field.q) for _ in range(5)) for _ in range(c.k)]

@@ -77,10 +77,17 @@ def mat_det(F: FiniteField, A) -> int:
 
 
 def solve(F: FiniteField, A, b):
-    """All solutions x of A x = b.
+    """One solution x of A x = b, or None: the one with every free variable
+    (non-pivot column) 0.  With no rows A has no columns, so x = [].
 
-    Returns (particular, nullbasis) or None when inconsistent.  The particular
-    solution sets every free variable to zero; nullbasis spans ker A.
+    If b is in the span of the first d columns, x is zero past column d:
+    the row operations E that reduce A reduce those columns A_d alone, so
+    E A_d is zero in each row whose pivot is at d or later, and so is
+    E b = E A_d y.  Each pivot variable is its row's right-hand side less
+    multiples of the free variables right of it, so once the variables
+    right of column c are fixed, x_c is forced at a pivot and free
+    elsewhere: read from the last column leftwards, x sets each variable to
+    0 whenever the variables to its right allow it.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
@@ -88,18 +95,10 @@ def solve(F: FiniteField, A, b):
     pivots = _eliminate(F, M)
     if cols in pivots:
         return None
-    part = [0] * cols
+    x = [0] * cols
     for r, c in enumerate(pivots):
-        part[c] = M[r][cols]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, c in enumerate(pivots):
-            v[c] = F.neg(M[r][fc])
-        basis.append(v)
-    return part, basis
+        x[c] = M[r][cols]
+    return x
 
 
 def in_span(F: FiniteField, vectors, target) -> bool:
@@ -208,7 +207,7 @@ class SpanPlan:
                 pick = prefix + (i,)
                 A = [[vectors[j][row] for j in pick]
                      for row in range(len(target))]
-                coeffs = solve(F, A, target)[0]
+                coeffs = solve(F, A, target)
                 if all(coeffs):
                     yield pick, coeffs
             return

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .code import dual, window_generator, window_parity
 from .construct import construct_dual_mds, construct_strongly_mds
-from .decoder import (channel_trials, feedback_decode, make_error_pattern,
-                      simulate)
+from .decoder import (channel_trials, decoding_radius, feedback_decode,
+                      make_error_pattern, simulate, simulation_horizon)
 from .distances import (column_distance, free_distance, griesmer_feasible,
                         has_mdp_bruteforce, has_mdp_minors, lm_params,
                         profile, _engines)
@@ -100,8 +100,7 @@ def run_simulations(fx, trials: int, seed_base: int = 0,
                     paranoid: bool = False) -> list:
     """Seeded compliant-error simulations; returns problems (empty = all good)."""
     c = fx.code
-    _, M = lm_params(c.n, c.k, c.delta)
-    horizon = 12 + 2 * M
+    horizon = simulation_horizon(lm_params(c.n, c.k, c.delta)[1])
     problems = []
     for i, (msg, err) in enumerate(channel_trials(c, trials, seed_base, horizon)):
         if not err.constraint_ok:
@@ -302,10 +301,9 @@ def _check_simulations():
         problems += run_simulations(fx, 10)
         c = fx.code
         _, M = lm_params(c.n, c.k, c.delta)
-        t = (M + 1) // 2
-        horizon = 12 + 2 * M
-        bad = make_error_pattern(c.field, horizon + 1, c.n, M, t, seed=11,
-                                 adversarial=True)
+        horizon = simulation_horizon(M)
+        bad = make_error_pattern(c.field, horizon + 1, c.n, M,
+                                 decoding_radius(M), seed=11, adversarial=True)
         rep = simulate(c, [()] * c.k, bad, horizon)
         if rep.constraint_ok is not False:
             problems.append(f"{fx.name}: adversarial pattern not flagged")

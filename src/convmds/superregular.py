@@ -61,6 +61,14 @@ class LowerToeplitz:
     field: FiniteField | None
     col: tuple
 
+    def __post_init__(self):
+        if not self.col:
+            raise BadParams("empty Toeplitz column")
+        if self.field is not None:
+            for c in self.col:
+                if not isinstance(c, int) or not 0 <= c < self.field.q:
+                    raise BadParams(f"column value {c!r} outside {self.field}")
+
     @property
     def size(self) -> int:
         return len(self.col)
@@ -80,14 +88,7 @@ class LowerToeplitz:
 
 
 def toeplitz(field, col) -> LowerToeplitz:
-    col = tuple(col)
-    if not col:
-        raise BadParams("empty Toeplitz column")
-    if field is not None:
-        for c in col:
-            if not 0 <= c < field.q:
-                raise BadParams(f"column value {c} outside {field}")
-    return LowerToeplitz(field, col)
+    return LowerToeplitz(field, tuple(col))
 
 
 @lru_cache(maxsize=None)

@@ -110,6 +110,18 @@ def test_superregular_search_miss(capsys):
     assert err.startswith("error[NO_SUPERREGULAR_FOUND]")
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--code", f"{FIX}/smds_3_1_1_q4.code"],
+    ["superregular", "--search", "5", "--field", "GF(2^3;1,1,0,1)"],
+    ["decode", "--code", f"{FIX}/smds_2_1_2_q8.code",
+     "--received", f"{FIX}/received_2_1_2_q8.word"],
+], ids=["classify", "superregular", "decode"])
+def test_budget_zero_is_a_budget_not_the_default(capsys, argv):
+    rc, _, err = run(capsys, *argv, "--budget", "0")
+    assert rc == 1
+    assert err.startswith("error[BUDGET_EXCEEDED]")
+
+
 def test_construct_round_trip(tmp_path, capsys):
     out_file = tmp_path / "c.code"
     rc, out, _ = run(capsys, "construct", "--n", "2", "--delta", "2",

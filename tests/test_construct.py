@@ -13,10 +13,10 @@ from convmds.construct import (build_hhat, column_property_holds,
 from convmds.distances import lm_params, profile, singleton_bound
 from convmds.errors import (BadParams, BudgetExceeded, DivisibilityViolated,
                             NoSuperregularFound, NotSuperregular,
-                            ShapeMismatch)
+                            ShapeMismatch, SystemInconsistent)
 from convmds.fixtures import fixture, reference_toeplitz
 from convmds.galois import standard_field
-from convmds.poly import poly_coef, poly_norm, series_div
+from convmds.poly import poly_coef, poly_gcd, poly_norm, series_div
 from convmds.superregular import search_toeplitz, toeplitz
 
 F4 = standard_field(4)
@@ -80,11 +80,12 @@ def synthetic_window(F, n, delta, a, bs):
     return SlidingMatrix(F, M, n, data)
 
 
-@pytest.mark.parametrize("n, delta", [(3, 3), (4, 4), (3, 5), (4, 5)])
+@pytest.mark.parametrize("n, delta", [(3, 3), (4, 4), (3, 5), (4, 5), (4, 2)])
 @pytest.mark.parametrize("q", [4, 8])
 def test_solve_ab_picks_the_enumerated_canonical_solution(q, n, delta):
     # underdetermined windows: (n-1)(M-delta) equations in delta unknowns;
-    # a low-degree a and short b widen the solution set further
+    # a low-degree a and short b widen the solution set further.  With
+    # delta < n-1 there are no equations and a = 1.
     F = standard_field(q)
     rng = random.Random(q * 100 + n * 10 + delta)
     for _ in range(25):
@@ -96,6 +97,10 @@ def test_solve_ab_picks_the_enumerated_canonical_solution(q, n, delta):
         got_a, got_bs = solve_ab(S, n, delta)
         assert got_a == poly_norm([1] + canonical_a(S, n, delta))
         assert all(len(b) <= delta + 1 for b in got_bs)
+        g = got_a
+        for b in got_bs:
+            g = poly_gcd(F, g, b)
+        assert g == (1,)  # the least-degree a leaves no common factor
 
 
 def test_solve_ab_canonical_beyond_the_old_enumeration_limit():
@@ -106,6 +111,15 @@ def test_solve_ab_canonical_beyond_the_old_enumeration_limit():
     S = synthetic_window(F, 2, 5, (1, 3), [(1,)])
     a, bs = solve_ab(S, 2, 5)
     assert a == (1, 3) and bs == [(1,)]
+
+
+def test_solve_ab_rejects_a_window_without_a_denominator():
+    # n = 2, delta = 1, M = 2: the one equation a_1 h_1 = -h_2 has no
+    # solution when h_1 = 0 and h_2 != 0
+    S = SlidingMatrix(F8, 2, 2, [[1 if s == t else 0 for s in range(3)] + [h]
+                                 for t, h in enumerate((1, 0, 1))])
+    with pytest.raises(SystemInconsistent):
+        solve_ab(S, 2, 1)
 
 
 def test_pipeline_matches_fixture_parities():

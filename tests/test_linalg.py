@@ -7,7 +7,7 @@ from convmds.galois import standard_field
 from convmds.linalg import (det_bareiss, in_span, mat_det, solve, transpose,
                             vec_weight)
 from convmds.rng import XorShift64Star
-from algebra_helpers import mat_mul, vec_mat
+from algebra_helpers import affine_solutions, mat_mul, solve_all, vec_mat
 
 
 def random_matrix(rng, q, r, c):
@@ -52,9 +52,10 @@ def test_solve_recovers_known_solution():
         b = [row[0] for row in mat_mul(F, A, [[v] for v in x])]
         got = solve(F, A, b)
         assert got is not None
-        particular, nullbasis = got
-        check = mat_mul(F, A, [[v] for v in particular])
+        check = mat_mul(F, A, [[v] for v in got])
         assert [row[0] for row in check] == b
+        particular, nullbasis = solve_all(F, A, b)
+        assert particular == got
         for vec in nullbasis:
             prod = mat_mul(F, A, [[v] for v in vec])
             assert all(row[0] == 0 for row in prod)
@@ -65,6 +66,40 @@ def test_solve_inconsistent_returns_none():
     A = [[1, 0], [1, 0]]
     assert solve(F, A, [1, 0]) is None
     assert solve(F, A, [1, 1]) is not None
+
+
+def test_solve_is_zero_past_the_span_and_least_from_the_right():
+    # random systems over GF(2..8), the last column often the sum of the
+    # first two; b is random or a combination of the first d columns
+    rng = XorShift64Star(73)
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8):
+        F = standard_field(q)
+        for _ in range(40):
+            rows, cols = 1 + rng.below(4), 1 + rng.below(4)
+            A = random_matrix(rng, q, rows, cols)
+            if cols > 2 and rng.below(2):
+                for row in A:
+                    row[-1] = F.add(row[0], row[1])
+            if rng.below(4):
+                d = rng.below(cols + 1)
+                b = [0] * rows
+                for c in range(d):
+                    m = rng.below(q)
+                    b = [F.add(u, F.mul(m, row[c])) for u, row in zip(b, A)]
+            else:
+                b = [rng.below(q) for _ in range(rows)]
+            sols = affine_solutions(F, A, b)
+            x = solve(F, A, b)
+            if not sols:
+                assert x is None
+                continue
+            for e in range(cols + 1):
+                if any(not any(s[e:]) for s in sols):  # b in e columns' span
+                    assert not any(x[e:]), (q, A, b, e)
+            assert x == min(sols, key=lambda s: s[::-1]), (q, A, b)
+            checked += 1
+    assert checked >= 150
 
 
 def rank_by_minors(F, A):
@@ -84,7 +119,7 @@ def test_rank_and_kernel_dimensions():
         rows, cols = 2 + rng.below(4), 2 + rng.below(4)
         A = random_matrix(rng, 4, rows, cols)
         r = rank_by_minors(F, A)
-        _, null = solve(F, A, [0] * rows)
+        _, null = solve_all(F, A, [0] * rows)
         assert r + len(null) == cols
         for vec in null:
             assert all(x == 0 for x in vec_mat(F, vec, transpose(A)))

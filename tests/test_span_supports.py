@@ -3,9 +3,10 @@
 The oracles below are the plain searches that the distance engine, the
 construction certificate, the superregular battery and the decoder ran
 before ``linalg.SpanPlan`` existed: every index set of a given size, one
-full ``in_span`` or ``solve`` per set.  A plan must yield exactly what they
-find, whether it is fresh or has kept the nodes of earlier walks, and with
-one index left out when ``least_span_size`` asks about that vector.
+full ``in_span`` or elimination (``solve_all``) per set.  A plan must yield
+exactly what they find, whether it is fresh or has kept the nodes of
+earlier walks, and with one index left out when ``least_span_size`` asks
+about that vector.
 """
 
 import itertools
@@ -19,10 +20,9 @@ from convmds.distances import lm_params
 from convmds.errors import BudgetExceeded
 from convmds.fixtures import all_fixtures
 from convmds.galois import standard_field
-from convmds.linalg import (SpanPlan, in_span, least_span_size, solve,
-                            transpose)
+from convmds.linalg import SpanPlan, in_span, least_span_size, transpose
 from convmds.selftest import decodable_fixtures
-from algebra_helpers import vec_mat
+from algebra_helpers import solve_all, vec_mat
 
 FIELDS = (2, 3, 4, 8)
 ORACLE_CALLS = 1 << 13  # largest subset loop run on a fixture window
@@ -65,7 +65,7 @@ def supports_oracle(F, vectors, target, size):
     out = []
     for pick in itertools.combinations(range(len(vectors)), size):
         A = [[vectors[i][r] for i in pick] for r in range(len(target))]
-        got = solve(F, A, list(target))
+        got = solve_all(F, A, list(target))
         if got is not None and not got[1] and all(got[0]):
             out.append((pick, got[0]))
     return out
@@ -105,7 +105,7 @@ def eta_solutions_oracle(F, window, S, t, budget, null_limit=4096):
             if spent > budget:
                 raise BudgetExceeded("oracle over budget")
             A = [[columns[ci][r] for ci in subset] for r in range(rows)]
-            res = solve(F, A, list(S))
+            res = solve_all(F, A, list(S))
             if res is None:
                 continue
             part, nullbasis = res

@@ -32,6 +32,17 @@ def test_toeplitz_entries_and_principal():
         T.leading_principal(4)
 
 
+@pytest.mark.parametrize("col", [(1, -1, 3), (1, 9, 3), (1, 1.0), ()])
+def test_lower_toeplitz_checks_its_own_column(col):
+    # built directly, not through toeplitz(); -1 would wrap the log table
+    with pytest.raises(BadParams):
+        LowerToeplitz(standard_field(8), col)
+
+
+def test_integer_lower_toeplitz_takes_any_integers():
+    assert LowerToeplitz(None, (1, -1, 9)).rows()[2] == [9, -1, 1]
+
+
 def test_proper_pairs_shape():
     pairs = list(proper_pairs(4))
     assert all(len(r) == len(c) for r, c in pairs)
