@@ -216,6 +216,8 @@ def cmd_simulate(args) -> int:
     c = load_code(args.code)
     _, M = lm_params(c.n, c.k, c.delta)
     horizon = simulation_horizon(M) if args.horizon is None else args.horizon
+    if horizon < M:
+        raise BadParams(f"horizon {horizon} is shorter than one window (M={M})")
     rows = []
     recovered = flagged = 0
     trials = channel_trials(c, args.trials, args.seed, horizon,
@@ -361,6 +363,8 @@ def main(argv=None) -> int:
             parser.error("superregular needs exactly one of --check / --search")
         if args.search is not None and not args.field:
             parser.error("--search requires --field")
+        if args.check and (args.field is not None or args.general):
+            parser.error("--check reads neither --field nor --general")
     try:
         return args.fn(args)
     except CodingError as exc:

@@ -19,11 +19,13 @@ block triangular.  Codeword windows v_[0,j] are exactly the row space of the
 generator window and exactly the kernel of the parity window transposed; this
 needs only full-rank constant blocks plus orthogonality, which lets the
 window routines fall back on derived (not necessarily basic) complements when
-only one matrix is stored and k is 1 or n-1.
+only one matrix is stored and k is 1 or n-1.  A code derives its complement
+once, on first use, and keeps it as ``CodeSpec.complement``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -164,6 +166,11 @@ class CodeSpec:
     gen: PolyMatrix | None = None
     par: PolyMatrix | None = None
 
+    @functools.cached_property
+    def complement(self) -> PolyMatrix | None:
+        """``derived_complement`` of the stored G, else of H; built once."""
+        return derived_complement(self.gen if self.gen is not None else self.par)
+
 
 def make_code(field, n, k, delta, gen=None, par=None) -> CodeSpec:
     if not (0 < k < n) or delta < 0:
@@ -242,11 +249,11 @@ def derived_complement(M: PolyMatrix) -> PolyMatrix | None:
 
 
 def window_generator(c: CodeSpec) -> PolyMatrix | None:
-    return c.gen if c.gen is not None else derived_complement(c.par)
+    return c.gen if c.gen is not None else c.complement
 
 
 def window_parity(c: CodeSpec) -> PolyMatrix | None:
-    return c.par if c.par is not None else derived_complement(c.gen)
+    return c.par if c.par is not None else c.complement
 
 
 # --- sliding matrices ----------------------------------------------------
@@ -268,41 +275,38 @@ class SlidingMatrix:
         return len(self.data[0]) if self.data else 0
 
 
-def _assemble(F, coeffs, j, br, bc, upper):
-    blocks = len(coeffs) - 1
-    zero = [[0] * bc for _ in range(br)]
+def _block_toeplitz(blocks, j: int, upper: bool) -> list:
+    """Rows of the window whose block row t, block column s (0 <= t, s <= j)
+    holds blocks[s-t] if ``upper`` else blocks[t-s], or zeros off the list."""
+    zero = [0] * len(blocks[0][0]) if blocks else []  # empty only at j < 0
     data = []
     for t in range(j + 1):
-        rows = [[] for _ in range(br)]
-        for s in range(j + 1):
-            d = s - t if upper else t - s
-            blk = coeffs[d] if 0 <= d <= blocks else zero
-            for r in range(br):
-                rows[r].extend(blk[r])
-        data.extend(rows)
+        for r in range(len(blocks[0])):
+            row = []
+            for s in range(j + 1):
+                d = s - t if upper else t - s
+                row.extend(blocks[d][r] if 0 <= d < len(blocks) else zero)
+            data.append(row)
     return data
 
 
-def sliding_generator(c: CodeSpec, j: int) -> SlidingMatrix:
+def _sliding(P: PolyMatrix | None, j: int, upper: bool, missing: str):
     if j < 0:
         raise BadParams("window index must be nonnegative")
-    G = window_generator(c)
-    if G is None:
-        raise MissingMatrix("no generator available for this code")
-    coeffs = [pm_coefficient(G, t) for t in range(pm_memory(G) + 1)]
-    data = _assemble(c.field, coeffs, j, c.k, c.n, upper=True)
-    return SlidingMatrix(c.field, j, c.n, data)
+    if P is None:
+        raise MissingMatrix(missing)
+    blocks = [pm_coefficient(P, t) for t in range(pm_memory(P) + 1)]
+    return SlidingMatrix(P.field, j, P.cols, _block_toeplitz(blocks, j, upper))
+
+
+def sliding_generator(c: CodeSpec, j: int) -> SlidingMatrix:
+    return _sliding(window_generator(c), j, True,
+                    "no generator available for this code")
 
 
 def sliding_parity(c: CodeSpec, j: int) -> SlidingMatrix:
-    if j < 0:
-        raise BadParams("window index must be nonnegative")
-    H = window_parity(c)
-    if H is None:
-        raise MissingMatrix("no parity check available for this code")
-    coeffs = [pm_coefficient(H, t) for t in range(pm_memory(H) + 1)]
-    data = _assemble(c.field, coeffs, j, c.n - c.k, c.n, upper=False)
-    return SlidingMatrix(c.field, j, c.n, data)
+    return _sliding(window_parity(c), j, False,
+                    "no parity check available for this code")
 
 
 def laurent_table(c: CodeSpec, M: int, pivot: int = 0):
@@ -339,15 +343,10 @@ def systematic_sliding_parity(c: CodeSpec, M: int, pivot: int = 0) -> SlidingMat
     remaining coordinates at time b, and block row t, block column b of the
     right part is the Laurent row h_{t-b}.
     """
-    hrows = laurent_table(c, M, pivot)
-    n = c.n
-    data = []
-    for t in range(M + 1):
-        row = [1 if s == t else 0 for s in range(M + 1)]
-        for b in range(M + 1):
-            row.extend(hrows[t - b] if t >= b else [0] * (n - 1))
-        data.append(row)
-    return SlidingMatrix(c.field, M, n, data)
+    eye = _block_toeplitz([[[1]]], M, upper=False)
+    right = _block_toeplitz([[h] for h in laurent_table(c, M, pivot)], M,
+                            upper=False)
+    return SlidingMatrix(c.field, M, c.n, [a + b for a, b in zip(eye, right)])
 
 
 def systematic_h_rows(S: SlidingMatrix):

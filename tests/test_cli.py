@@ -260,6 +260,16 @@ def test_simulate_rejects_negative_trials(capsys):
     assert len(lines) == 1 and lines[0].startswith("error[BAD_PARAMS]")
 
 
+@pytest.mark.parametrize("trials", ["0", "1"])
+@pytest.mark.parametrize("horizon", ["-3", "3"])
+def test_simulate_rejects_a_horizon_below_one_window(capsys, trials, horizon):
+    rc, out, err = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
+                       "--trials", trials, "--horizon", horizon)
+    assert rc == 1 and out == ""
+    assert err == (f"error[BAD_PARAMS]: horizon {horizon} is shorter than "
+                   "one window (M=4)\n")
+
+
 def test_dual_stdout(capsys):
     rc, out, _ = run(capsys, "dual", "--code", f"{FIX}/smds_3_1_2_q16.code")
     assert rc == 0
@@ -326,7 +336,10 @@ def test_usage_errors_exit_2(capsys):
                   "--budget", "5"],
                  ["selftest", "--budget", "5"],
                  ["superregular", "--search", "3", "--field", "GF(5)",
-                  "--mode", "seeded"]):
+                  "--mode", "seeded"],
+                 ["superregular", "--check", "GF(2^3);1,1", "--general"],
+                 ["superregular", "--check", "GF(2^3);1,1",
+                  "--field", "GF(2^4)"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -12,16 +12,19 @@ from convmds.code import (basic_degree, derived_complement, dual,
                           pm_transpose, sliding_generator, sliding_parity,
                           systematic_h_rows, systematic_sliding_parity,
                           window_generator, window_parity)
-from convmds.decoder import encode_word
+from convmds.decoder import encode_word, feedback_decode, simulation_horizon
+from convmds.distances import has_mdp_minors, lm_params, profile
 from convmds.errors import (A1NotUnit, BadParams, FieldMismatch,
                             MissingMatrix, NotBasic, NotRateNMinus1,
                             ParseError, RankDeficient, ShapeMismatch)
 from convmds.fixtures import all_fixtures, fixture
 from convmds.galois import standard_field
+from convmds.poly import poly_coef
 from convmds.rng import XorShift64Star
 from convmds.selftest import methods_agreement
 from algebra_helpers import identity, mat_mul, poly_eval, vec_mat
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 F2 = standard_field(2)
 F4 = standard_field(4)
 F8 = standard_field(8)
@@ -92,9 +95,8 @@ def test_make_code_lists_each_matrix_minors_once(monkeypatch):
         return real(M)
 
     monkeypatch.setattr(code, "full_size_minors", counted)
-    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     matrices = 0
-    for path in sorted(fixtures.glob("*.code")):
+    for path in sorted(FIXTURES.glob("*.code")):
         c = code.load_code(path)
         matrices += (c.gen is not None) + (c.par is not None)
     assert len(seen) == matrices == 20
@@ -162,6 +164,70 @@ def test_window_matrices_availability():
     r = fixture("smds_2_1_2_q8").code
     assert window_generator(r) is not None
     assert window_parity(r) is not None
+
+
+# smds_3_2_2_q16 stores only G, smds_2_1_2_q8 only H; both are decodable
+@pytest.mark.parametrize("name", ["smds_3_2_2_q16", "smds_2_1_2_q8"])
+def test_a_code_derives_its_complement_once(monkeypatch, name):
+    seen = []
+    real = code.derived_complement
+
+    def counted(M):
+        seen.append(M)
+        return real(M)
+
+    monkeypatch.setattr(code, "derived_complement", counted)
+    c = code.load_code(FIXTURES / f"{name}.code")
+    stored = c.gen if c.par is None else c.par
+    assert (c.gen is None) != (c.par is None)
+    profile(c)
+    has_mdp_minors(c)
+    for j in range(3):
+        sliding_generator(c, j)
+        sliding_parity(c, j)
+    _, M = lm_params(c.n, c.k, c.delta)
+    word = encode_word(c, [(1, 1)] * c.k, simulation_horizon(M) + 1)
+    assert feedback_decode(word, c).ok
+    assert seen == [stored]
+
+
+def test_filling_the_complement_leaves_equality_hash_and_repr():
+    c = code.load_code(FIXTURES / "smds_2_1_2_q8.code")
+    twin = code.load_code(FIXTURES / "smds_2_1_2_q8.code")
+    before = (repr(c), hash(c))
+    assert window_generator(c) is c.complement is window_generator(c)
+    assert "complement" in vars(c) and "complement" not in vars(twin)
+    assert (repr(c), hash(c)) == before == (repr(twin), hash(twin))
+    assert c == twin
+
+
+def _block_window(P, j, upper):
+    """Block row t, block column s holds P_{s-t} when upper, else P_{t-s}."""
+    return [[poly_coef(P.entries[r][i], s - t if upper else t - s)
+             for s in range(j + 1) for i in range(P.cols)]
+            for t in range(j + 1) for r in range(P.rows)]
+
+
+def test_sliding_windows_match_their_block_definition():
+    compared = 0
+    for name, fx in sorted(all_fixtures().items()):
+        c = fx.code
+        for sliding, P, upper in ((sliding_generator, window_generator(c), True),
+                                  (sliding_parity, window_parity(c), False)):
+            if P is None:
+                continue
+            for j in range(4):
+                S = sliding(c, j)
+                assert (S.j, S.block_cols) == (j, c.n), name
+                assert S.data == _block_window(P, j, upper), name
+                compared += 1
+    assert compared == 4 * 33
+    c = fixture("smds_5_2_2_q16").code
+    with pytest.raises(BadParams, match="^window index must be nonnegative$"):
+        sliding_generator(c, -1)
+    with pytest.raises(MissingMatrix,
+                       match="^no parity check available for this code$"):
+        sliding_parity(c, 0)
 
 
 def test_sliding_generator_encodes_windows():

@@ -8,6 +8,9 @@ Every method, property and dataclass field of a class in ``src/convmds``
 must be read as ``.name`` somewhere in ``src/``, ``tests/`` or
 ``perfbench/``.  The check goes by name alone, so a member escapes it when
 an unrelated object's attribute of the same name is read.
+
+Within ``src/``, only ``CodeSpec.complement`` calls ``derived_complement``,
+so each code derives its window complement once.
 """
 
 import ast
@@ -109,3 +112,28 @@ def test_every_member_is_read():
 
 def test_member_allowlist_entries_are_still_unread():
     assert set(unread_members()) == MEMBERS_ALLOWED
+
+
+def callers_of(name: str) -> list:
+    """Qualified name of the def enclosing each call of ``name`` in src/."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == name:
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_only_the_code_derives_its_window_complement():
+    # every other window reader goes through CodeSpec.complement, which
+    # derives the complement once per code
+    assert callers_of("derived_complement") == ["code.CodeSpec.complement"]
