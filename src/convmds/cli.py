@@ -162,15 +162,16 @@ def cmd_superregular(args) -> int:
         print(_flag(is_superregular(T)))
         return 0
     field = parse_field(args.field)
+    budget = SEARCH_BUDGET if args.budget is None else args.budget
     if args.general:
-        rows = search_general_toeplitz(args.search, field, args.budget)
+        rows = search_general_toeplitz(args.search, field, budget)
         if rows is None:
             raise NoSuperregularFound(
                 f"no general {args.search}x{args.search} hit over {field}")
         for row in rows:
             print(" ".join(str(x) for x in row))
         return 0
-    T = search_toeplitz(args.search, field, budget=args.budget)
+    T = search_toeplitz(args.search, field, budget=budget)
     if T is None:
         raise NoSuperregularFound(
             f"no {args.search}x{args.search} hit over {field}")
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(fn=cmd_selftest)
 
     for searching, budget in ((pc, SEARCH_BUDGET), (pd, DEFAULT_BUDGET),
-                              (pk, DEFAULT_BUDGET), (ps, SEARCH_BUDGET),
+                              (pk, DEFAULT_BUDGET), (ps, None),
                               (pe, DEFAULT_SOLVE_BUDGET),
                               (pm, DEFAULT_SOLVE_BUDGET)):
         searching.add_argument("--budget", type=int, default=budget,
@@ -363,8 +364,9 @@ def main(argv=None) -> int:
             parser.error("superregular needs exactly one of --check / --search")
         if args.search is not None and not args.field:
             parser.error("--search requires --field")
-        if args.check and (args.field is not None or args.general):
-            parser.error("--check reads neither --field nor --general")
+        if args.check and (args.field is not None or args.general
+                           or args.budget is not None):
+            parser.error("--check reads none of --field, --general, --budget")
     try:
         return args.fn(args)
     except CodingError as exc:

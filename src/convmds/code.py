@@ -343,6 +343,8 @@ def systematic_sliding_parity(c: CodeSpec, M: int, pivot: int = 0) -> SlidingMat
     remaining coordinates at time b, and block row t, block column b of the
     right part is the Laurent row h_{t-b}.
     """
+    if M < 0:
+        raise BadParams("window index must be nonnegative")
     eye = _block_toeplitz([[[1]]], M, upper=False)
     right = _block_toeplitz([[h] for h in laurent_table(c, M, pivot)], M,
                             upper=False)

@@ -137,44 +137,19 @@ def _window_plan(c: CodeSpec, M: int) -> linalg.SpanPlan:
     return linalg.SpanPlan(c.field, linalg.transpose(sliding_parity(c, M).data))
 
 
-def _eta_solutions(plan: linalg.SpanPlan, S, t: int, budget: int):
-    """All minimum-support windows eta with eta * window^T = S and wt <= t.
-
-    The plan holds the window's columns.  Supports are scanned in ascending
-    size, lexicographically within a size.  Each size charges all
-    comb(cols, size) candidate supports to the budget before it runs.
-    Returns (size, solutions as full tuples); no solution gives (t, []).
-    """
-    cols = len(plan.vectors)
-    if not any(S):
-        return 0, [tuple([0] * cols)]
-    spent = 0
-    for size in range(1, t + 1):
-        spent += comb(cols, size)
-        if spent > budget:
-            raise BudgetExceeded(
-                f"syndrome search exceeded {budget} candidate supports")
-        found = []
-        for subset, coeffs in plan.supports(S, size):
-            eta = [0] * cols
-            for ci, val in zip(subset, coeffs):
-                eta[ci] = val
-            found.append(tuple(eta))
-        if found:
-            return size, sorted(found)
-    return t, []
-
-
 def solve_eta0(S, c: CodeSpec, t: int | None = None,
                budget: int = DEFAULT_SOLVE_BUDGET, plan=None):
     """The leading length-n error block shared by all light syndrome matches.
 
     Searches every eta in F^((M+1)n) of weight at most t with
-    S = eta * (parity window)^T, smallest supports first.  All matches of
-    minimum support must agree on the first block (and on the second when M
-    is even); the shared first block is returned.  ``plan`` is the window's
-    span plan from an earlier call with the same code and M; without one a
-    fresh plan is built.
+    S = eta * (parity window)^T.  Supports are scanned in ascending size,
+    lexicographically within a size, and each size charges all
+    comb((M+1)n, size) candidate supports to the budget before it runs; a
+    zero syndrome is answered without a charge.  Of each match only its head
+    is kept: the first block, and the second too when M is even.  All matches
+    of the least size must agree on their heads; the shared first block is
+    returned.  ``plan`` is the window's span plan from an earlier call with
+    the same code and M; without one a fresh plan is built.
     """
     if c.k != c.n - 1:
         raise NotRateNMinus1("syndrome solving needs k = n-1")
@@ -185,16 +160,31 @@ def solve_eta0(S, c: CodeSpec, t: int | None = None,
         t = decoding_radius(M)
     if plan is None:
         plan = _window_plan(c, M)
-    _, sols = _eta_solutions(plan, list(S), t, budget)
-    if not sols:
-        raise NoSolution(f"no error window of weight <= {t} matches the syndrome")
-    first = sols[0]
-    for other in sols[1:]:
-        if other[:n] != first[:n]:
-            raise Ambiguous("matching windows disagree on the leading block")
-        if M % 2 == 0 and other[n:2 * n] != first[n:2 * n]:
-            raise Ambiguous("matching windows disagree on the second block")
-    return list(first[:n])
+    if not any(S):
+        return [0] * n
+    width = 2 * n if M % 2 == 0 else n
+    cols = len(plan.vectors)
+    spent = 0
+    for size in range(1, t + 1):
+        spent += comb(cols, size)
+        if spent > budget:
+            raise BudgetExceeded(
+                f"syndrome search exceeded {budget} candidate supports")
+        heads = set()
+        for subset, coeffs in plan.supports(S, size):
+            head = [0] * width
+            for ci, val in zip(subset, coeffs):
+                if ci < width:
+                    head[ci] = val
+            heads.add(tuple(head))
+        if heads:
+            first = min(heads)
+            if any(h != first and h[:n] == first[:n] for h in heads):
+                raise Ambiguous("matching windows disagree on the second block")
+            if len(heads) > 1:
+                raise Ambiguous("matching windows disagree on the leading block")
+            return list(first[:n])
+    raise NoSolution(f"no error window of weight <= {t} matches the syndrome")
 
 
 def systematic_shortcut(Shat, M: int):
@@ -429,7 +419,8 @@ def channel_trials(c: CodeSpec, trials: int, seed: int, horizon: int,
     One xorshift64* stream, seeded with 97 + seed, draws each message (k
     polynomials of 5 coefficients) and then that trial's 64-bit pattern seed,
     so neighbouring run seeds share no pattern.  Patterns span horizon + 1
-    blocks."""
+    blocks; a horizon past the supported length fails before any trial."""
+    _check_length(horizon + 1)
     _, M = lm_params(c.n, c.k, c.delta)
     t = decoding_radius(M)
     rng = XorShift64Star(97 + seed)

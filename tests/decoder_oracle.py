@@ -5,13 +5,21 @@ replaces: each try rescans every window that covers its block, and the loop
 runs until the target or the try limit even after no slot is left that could
 be accepted.  ``window_syndrome`` reads one syndrome window of a received
 word from scratch, where the decoder updates one running series.
+``solve_eta0_by_enumeration`` is the decoder's support search as it was
+before it kept only the leading blocks: it lists every least-size match as
+a full window with ``_eta_solutions``, sorts them and compares them in turn.
 """
 
+from math import comb
+
+from convmds import linalg
 from convmds.code import CodeSpec
-from convmds.decoder import (ErrorPattern, ReceivedWord, _parity_row,
-                             _syndrome_series)
+from convmds.decoder import (DEFAULT_SOLVE_BUDGET, ErrorPattern, ReceivedWord,
+                             _check_values, _parity_row, _syndrome_series,
+                             _window_plan, decoding_radius)
 from convmds.distances import lm_params
-from convmds.errors import BadParams, CodingError, Infeasible
+from convmds.errors import (Ambiguous, BadParams, BudgetExceeded, CodingError,
+                            Infeasible, NoSolution, NotRateNMinus1)
 from convmds.galois import FiniteField
 from convmds.rng import XorShift64Star
 
@@ -94,3 +102,55 @@ def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
         raise Infeasible(
             f"placed only {placed} of {errors} errors under the window cap {t}")
     return ErrorPattern(field, tuple(tuple(r) for r in grid), M, t)
+
+
+def _eta_solutions(plan: linalg.SpanPlan, S, t: int, budget: int):
+    """All minimum-support windows eta with eta * window^T = S and wt <= t.
+
+    The plan holds the window's columns.  Supports are scanned in ascending
+    size, lexicographically within a size.  Each size charges all
+    comb(cols, size) candidate supports to the budget before it runs.
+    Returns (size, solutions as full tuples); no solution gives (t, []).
+    """
+    cols = len(plan.vectors)
+    if not any(S):
+        return 0, [tuple([0] * cols)]
+    spent = 0
+    for size in range(1, t + 1):
+        spent += comb(cols, size)
+        if spent > budget:
+            raise BudgetExceeded(
+                f"syndrome search exceeded {budget} candidate supports")
+        found = []
+        for subset, coeffs in plan.supports(S, size):
+            eta = [0] * cols
+            for ci, val in zip(subset, coeffs):
+                eta[ci] = val
+            found.append(tuple(eta))
+        if found:
+            return size, sorted(found)
+    return t, []
+
+
+def solve_eta0_by_enumeration(S, c: CodeSpec, t: int | None = None,
+                              budget: int = DEFAULT_SOLVE_BUDGET, plan=None):
+    """The leading error block, from every least-size match in full."""
+    if c.k != c.n - 1:
+        raise NotRateNMinus1("syndrome solving needs k = n-1")
+    _check_values(c.field, S)
+    n = c.n
+    M = len(S) - 1
+    if t is None:
+        t = decoding_radius(M)
+    if plan is None:
+        plan = _window_plan(c, M)
+    _, sols = _eta_solutions(plan, list(S), t, budget)
+    if not sols:
+        raise NoSolution(f"no error window of weight <= {t} matches the syndrome")
+    first = sols[0]
+    for other in sols[1:]:
+        if other[:n] != first[:n]:
+            raise Ambiguous("matching windows disagree on the leading block")
+        if M % 2 == 0 and other[n:2 * n] != first[n:2 * n]:
+            raise Ambiguous("matching windows disagree on the second block")
+    return list(first[:n])

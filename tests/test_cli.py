@@ -270,6 +270,15 @@ def test_simulate_rejects_a_horizon_below_one_window(capsys, trials, horizon):
                    "one window (M=4)\n")
 
 
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_simulate_rejects_a_horizon_above_the_length_cap(capsys, trials):
+    rc, out, err = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
+                       "--trials", trials, "--horizon", "70000")
+    assert rc == 1 and out == ""
+    assert err == ("error[BAD_PARAMS]: length 70001 above the supported "
+                   "65536 blocks\n")
+
+
 def test_dual_stdout(capsys):
     rc, out, _ = run(capsys, "dual", "--code", f"{FIX}/smds_3_1_2_q16.code")
     assert rc == 0
@@ -339,7 +348,9 @@ def test_usage_errors_exit_2(capsys):
                   "--mode", "seeded"],
                  ["superregular", "--check", "GF(2^3);1,1", "--general"],
                  ["superregular", "--check", "GF(2^3);1,1",
-                  "--field", "GF(2^4)"]):
+                  "--field", "GF(2^4)"],
+                 ["superregular", "--check", "GF(2^3);1,1",
+                  "--budget", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -269,6 +269,8 @@ def test_systematic_window_structure():
     left = [row[: M + 1] for row in S.data]
     assert left == identity(c.field, M + 1)
     assert systematic_h_rows(S) == laurent_table(c, M)
+    with pytest.raises(BadParams, match="^window index must be nonnegative$"):
+        systematic_sliding_parity(c, -1)
 
 
 def systematic_column_order(n: int, M: int, pivot: int = 0):

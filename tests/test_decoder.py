@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from convmds import linalg
-from convmds.decoder import (MAX_LENGTH, channel_trials, encode_word,
+from convmds.decoder import (MAX_LENGTH, _window_plan, channel_trials,
+                             decoding_radius, encode_word,
                              feedback_decode, format_received_file,
                              load_received, make_error_pattern, make_received,
                              parse_received_file, save_received, simulate,
@@ -15,12 +16,13 @@ from convmds.distances import lm_params
 from convmds.errors import (Ambiguous, BadParams, BudgetExceeded,
                             FieldMismatch, Infeasible, NoSolution,
                             NotRateNMinus1, ParseError, ShapeMismatch)
-from convmds.fixtures import decode_walkthrough, fixture
+from convmds.fixtures import all_fixtures, decode_walkthrough, fixture
 from convmds.galois import standard_field
 from convmds.poly import poly_add, poly_mul
 from convmds.rng import XorShift64Star
 from convmds.selftest import decodable_fixtures
-from decoder_oracle import HorizonExceeded, window_syndrome
+from decoder_oracle import (HorizonExceeded, solve_eta0_by_enumeration,
+                            window_syndrome)
 
 F8 = standard_field(8)
 
@@ -160,6 +162,37 @@ def test_solve_eta0_budget_boundary():
     assert solve_eta0(S, c, budget=through_hit) == [1, 1]
     with pytest.raises(BudgetExceeded):
         solve_eta0(S, c, budget=through_hit - 1)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (NoSolution, Ambiguous) as exc:
+        return type(exc), str(exc)
+
+
+def test_solve_eta0_matches_the_enumeration_oracle():
+    """The kept heads decide as the full sorted enumeration did, messages
+    included, at the decoding radius and one above it."""
+    rng = XorShift64Star(75)
+    seen = set()
+    for name, fx in sorted(all_fixtures().items()):
+        c = fx.code
+        if c.k != c.n - 1:
+            continue
+        _, M = lm_params(c.n, c.k, c.delta)
+        plan = _window_plan(c, M)
+        for t in (decoding_radius(M), decoding_radius(M) + 1):
+            for _ in range(100):
+                S = [rng.below(c.field.q) for _ in range(M + 1)]
+                got = _outcome(solve_eta0, S, c, t, 1 << 20, plan)
+                assert got == _outcome(solve_eta0_by_enumeration, S, c, t,
+                                       1 << 20, plan), (name, S, t)
+                seen.add("unique" if isinstance(got, list) else
+                         got[1] if got[0] is Ambiguous else got[0])
+    assert seen == {"unique", NoSolution,
+                    "matching windows disagree on the leading block",
+                    "matching windows disagree on the second block"}
 
 
 def test_systematic_shortcut():

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from convmds.code import sliding_parity, window_parity
-from convmds.decoder import _eta_solutions
 from convmds.distances import lm_params
 from convmds.errors import BudgetExceeded
 from convmds.fixtures import all_fixtures
@@ -23,6 +22,7 @@ from convmds.galois import standard_field
 from convmds.linalg import SpanPlan, in_span, least_span_size, transpose
 from convmds.selftest import decodable_fixtures
 from algebra_helpers import solve_all, vec_mat
+from decoder_oracle import _eta_solutions
 
 FIELDS = (2, 3, 4, 8)
 ORACLE_CALLS = 1 << 13  # largest subset loop run on a fixture window
