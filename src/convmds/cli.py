@@ -23,8 +23,8 @@ from . import selftest as selftest_mod
 from .code import dual, format_code_file, load_code
 from .construct import construct_dual_mds, construct_strongly_mds
 from .decoder import (DEFAULT_SOLVE_BUDGET, channel_trials, decoding_radius,
-                      feedback_decode, load_received, save_received,
-                      simulate, simulation_horizon, word_from_polys)
+                      feedback_decode, load_received, make_received,
+                      save_received, simulate, simulation_horizon)
 from .distances import DEFAULT_BUDGET, lm_params, profile
 from .errors import BadParams, CodingError, NoSuperregularFound, ParseError
 from .galois import parse_field
@@ -204,9 +204,8 @@ def cmd_decode(args) -> int:
         summary.append((f"v{i}", format_poly(p)))
     emit_table(("property", "value"), summary, args.format)
     if args.out:
-        decoded = word_from_polys(c.field, rep.decoded_polys(),
-                                  length=rep.core_end + 1)
-        save_received(decoded, args.out)
+        save_received(make_received(c.field, rep.decoded[:rep.core_end + 1]),
+                      args.out)
         print(f"wrote {args.out}")
     return 0 if rep.ok else 1
 

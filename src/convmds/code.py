@@ -51,7 +51,6 @@ from .poly import (
     poly_mul,
     poly_neg,
     poly_norm,
-    poly_scale,
     series_div,
 )
 
@@ -318,20 +317,11 @@ def laurent_table(c: CodeSpec, M: int, pivot: int = 0):
     """
     if c.k != c.n - 1:
         raise NotRateNMinus1("systematic form needs k = n-1")
-    H = window_parity(c)
-    F = c.field
-    a = list(H.entries[0])
-    a0 = poly_coef(a[pivot], 0)
-    if a0 == 0:
+    a = list(window_parity(c).entries[0])
+    if poly_coef(a[pivot], 0) == 0:
         raise A1NotUnit(f"pivot coordinate {pivot} has zero constant term")
-    inv = F.inv(a0)
-    den = poly_scale(F, a[pivot], inv)
-    series = []
-    for i in range(c.n):
-        if i == pivot:
-            continue
-        num = poly_scale(F, a[i], inv)
-        series.append(series_div(F, num, den, M + 1))
+    series = [series_div(c.field, a[i], a[pivot], M + 1)
+              for i in range(c.n) if i != pivot]
     return [[s[t] for s in series] for t in range(M + 1)]
 
 
@@ -443,9 +433,18 @@ def parse_code_file(text: str) -> CodeSpec:
     return make_code(field, n, k, delta, gen=gen, par=par)
 
 
+def read_text(path) -> str:
+    """The text of a code or received-word file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+
+
 def load_code(path) -> CodeSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code_file(fh.read())
+    return parse_code_file(read_text(path))
 
 
 def save_code(c: CodeSpec, path, comment: str = "") -> None:

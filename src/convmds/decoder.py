@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .code import (CodeSpec, content_lines, pm_memory, sliding_parity,
-                   window_generator, window_parity)
+from .code import (CodeSpec, content_lines, pm_memory, read_text,
+                   sliding_parity, window_generator, window_parity)
 from .distances import lm_params
 from .errors import (Ambiguous, BadParams, FieldMismatch, Infeasible,
                      MissingMatrix, NoSolution, NotRateNMinus1, ParseError,
@@ -528,8 +528,7 @@ def parse_received_file(text: str) -> ReceivedWord:
 
 
 def load_received(path) -> ReceivedWord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_received_file(fh.read())
+    return parse_received_file(read_text(path))
 
 
 def save_received(w: ReceivedWord, path, comment: str = "") -> None:

@@ -45,11 +45,11 @@ a lower bound.
 Classification: a code is strongly MDS when d^c_M meets the Singleton bound
 at M = floor(delta/k) + ceil(delta/(n-k)), and has a maximum distance profile
 (MDP) when d^c_L = (n-k)(L+1)+1 at L = floor(delta/k) + floor(delta/(n-k)).
-The MDP property also has a determinantal test on a single sliding matrix
-(generator or parity side), used as an independent route.  It walks the
-admissible column picks depth first and stops at the first column that
-depends on the chosen prefix, as a dependent prefix zeroes every full-size
-minor that completes it.
+The MDP property also has a determinantal test on one sliding matrix, the
+parity window of the code or of its dual, used as an independent route.  It
+walks the admissible column picks depth first and stops at the first column
+that depends on the chosen prefix, as a dependent prefix zeroes every
+full-size minor that completes it.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ from math import comb
 from . import linalg
 from .code import (
     CodeSpec,
+    _sliding,
     pm_coefficient,
     pm_memory,
-    sliding_generator,
     sliding_parity,
     window_generator,
     window_parity,
@@ -355,12 +355,18 @@ def has_mdp_bruteforce(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:
 def has_mdp_minors(c: CodeSpec) -> bool:
     """MDP test by full-size minors of one sliding matrix.
 
-    Generator side: the code has a maximum distance profile iff every minor
-    of the generator window at L built from columns j_1 < ... < j_{(L+1)k}
-    with j_{sk+1} > sn for s = 1..L is nonzero.  Parity side: iff every minor
-    of the parity window from columns i_1 < ... < i_{(L+1)(n-k)} with
-    i_{s(n-k)} <= sn is nonzero.  Uses whichever matrix the code stores
-    (generator preferred).
+    A code has a maximum distance profile iff every minor of its parity
+    window at L from columns i_1 < ... < i_{(L+1)(n-k)} with i_{s(n-k)} <= sn
+    (s = 1..L) is nonzero, and iff every minor of its generator window from
+    columns j_1 < ... < j_{(L+1)k} with j_{sk+1} > sn is nonzero.  Reversing
+    the L+1 block rows and block columns of an r-row P's upper window (block
+    (t, s) = P_{s-t}) gives its lower window (block (t, s) = P_{t-s}).  It
+    maps the picks with j_{sr+1} > sn (at most sr columns in the first s
+    blocks) onto those with i_{ur} <= un (at least ur in the first u), where
+    u = L+1-s, and permuting rows and columns keeps a minor zero or nonzero.
+    So the walk reads the lower window of the stored matrix with fewer rows
+    (H on a tie) with the parity-side bounds; for G that is the generator
+    criterion, and G's lower window is the dual's parity window.
 
     A minor is nonzero iff its columns are independent, so the admissible
     picks are walked depth first, the chosen prefix kept as an echelon basis.
@@ -370,35 +376,27 @@ def has_mdp_minors(c: CodeSpec) -> bool:
     a walk that meets none has seen every admissible pick independent.
     """
     L, _ = lm_params(c.n, c.k, c.delta)
-    N = (L + 1) * c.n
-    if c.gen is not None:
-        W, size = sliding_generator(c, L), (L + 1) * c.k
-    elif c.par is not None:
-        W, size = sliding_parity(c, L), (L + 1) * (c.n - c.k)
-    else:
-        raise MissingMatrix("code carries no matrix")
-    lo, hi = [0] * size, [N - 1] * size  # 0-based columns of each pick
+    P = min((M for M in (c.par, c.gen) if M is not None),
+            key=lambda M: M.rows, default=None)
+    W = _sliding(P, L, False, "code carries no matrix")
+    r = P.rows
+    hi = [(L + 1) * c.n - 1] * ((L + 1) * r)  # 0-based columns of each pick
     for s in range(1, L + 1):
-        if c.gen is not None:
-            lo[s * c.k] = s * c.n  # j_{sk+1} > sn
-        else:
-            hi[s * (c.n - c.k) - 1] = s * c.n - 1  # i_{s(n-k)} <= sn
-    # picks increase; with k < n these bounds leave lo[p] <= hi[p] everywhere
-    for p in range(1, size):
-        lo[p] = max(lo[p], lo[p - 1] + 1)
-    for p in range(size - 2, -1, -1):
+        hi[s * r - 1] = s * c.n - 1  # i_{sr} <= sn
+    # picks increase; with r < n these bounds leave p <= hi[p] everywhere
+    for p in range(len(hi) - 2, -1, -1):
         hi[p] = min(hi[p], hi[p + 1] - 1)
-    cols = list(enumerate(linalg.transpose(W.data)))  # W has size rows
-    return _picks_independent(c.field, cols, 0, lo, hi)
+    cols = list(enumerate(linalg.transpose(W.data)))  # W has len(hi) rows
+    return _picks_independent(c.field, cols, 0, hi)
 
 
-def _picks_independent(F, cols, p, lo, hi) -> bool:
+def _picks_independent(F, cols, p, hi) -> bool:
     """Are all admissible completions of a prefix of p picks independent?
 
     cols lists (index, column reduced against the prefix's echelon basis) for
-    the columns after the prefix's last pick from lo[p] on.
+    the columns after the prefix's last pick.
     """
-    last = p + 1 == len(lo)
+    last = p + 1 == len(hi)
     for at, (col, v) in enumerate(cols):
         if col > hi[p]:
             break
@@ -410,13 +408,11 @@ def _picks_independent(F, cols, p, lo, hi) -> bool:
         inv = F.inv(v[piv])
         child = []
         for col2, u in cols[at + 1:]:
-            if col2 < lo[p + 1]:
-                continue
             if u[piv]:
                 g = F.mul(u[piv], inv)
                 u = [F.sub(x, F.mul(g, y)) for x, y in zip(u, v)]
             child.append((col2, u))
-        if not _picks_independent(F, child, p + 1, lo, hi):
+        if not _picks_independent(F, child, p + 1, hi):
             return False
     return True
 

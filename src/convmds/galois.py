@@ -86,7 +86,6 @@ class FiniteField:
         self.modulus = modulus
         if m > 1:
             _check_irreducible(p, modulus)
-        self._xred = self._reduction_rows()
         self._exp = None
         self._log = None
         self._gen = None
@@ -195,19 +194,6 @@ class FiniteField:
 
     # --- internals --------------------------------------------------------
 
-    def _reduction_rows(self):
-        # digit rows for x^m .. x^(2m-2) reduced by the modulus
-        p, m, mod = self.p, self.m, self.modulus
-        lead_inv = pow(mod[m], p - 2, p)
-        base = [(-c * lead_inv) % p for c in mod[:m]]  # x^m = base (as digits)
-        rows = [base]
-        for _ in range(m - 2):
-            prev = rows[-1]
-            shifted = [0] + prev[:-1]
-            carry = prev[-1]
-            rows.append([(shifted[i] + carry * base[i]) % p for i in range(m)])
-        return [tuple(r) for r in rows]
-
     def _mul_raw(self, a: int, b: int) -> int:
         p, m = self.p, self.m
         if m == 1:
@@ -218,14 +204,7 @@ class FiniteField:
             if x:
                 for j, y in enumerate(db):
                     conv[i + j] += x * y
-        out = [c % p for c in conv[:m]]
-        for i in range(m, 2 * m - 1):
-            c = conv[i] % p
-            if c:
-                row = self._xred[i - m]
-                for t in range(m):
-                    out[t] = (out[t] + c * row[t]) % p
-        return self.from_digits(out)
+        return self.from_digits(_poly_rem(p, conv, self.modulus))
 
     def _build_tables(self):
         n, g = self.q - 1, self.generator()
@@ -250,26 +229,26 @@ def _check_irreducible(p: int, modulus):
                 div.append(v % p)
                 v //= p
             div.append(1)
-            if _poly_mod_zero(p, modulus, div):
+            if not any(_poly_rem(p, modulus, div)):
                 raise ReducibleModulus(
                     f"modulus {list(modulus)} divisible by {div} over GF({p})"
                 )
 
 
-def _poly_mod_zero(p, num, den):
+def _poly_rem(p, num, den):
+    """Remainder of num modulo den over GF(p), coefficients ascending; it
+    has len(den) - 1 coefficients when num has at least that many."""
     r = [c % p for c in num]
     dd = len(den) - 1
     inv_lead = pow(den[dd], p - 2, p)
-    while len(r) - 1 >= dd:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        c = (r[-1] * inv_lead) % p
-        off = len(r) - 1 - dd
-        for i in range(dd + 1):
-            r[off + i] = (r[off + i] - c * den[i]) % p
+    while len(r) > dd:
+        if r[-1]:  # a zero quotient term leaves r unchanged
+            c = (r[-1] * inv_lead) % p
+            off = len(r) - 1 - dd
+            for i in range(dd + 1):
+                r[off + i] = (r[off + i] - c * den[i]) % p
         r.pop()
-    return all(c == 0 for c in r)
+    return r
 
 
 def field_make(p: int, m: int = 1, modulus=None) -> FiniteField:

@@ -155,10 +155,12 @@ def _check_distance_methods():
 def _check_dual_mdp():
     problems = []
     for name, fx in sorted(all_fixtures().items()):
+        d = dual(fx.code)
         a = has_mdp_minors(fx.code)
-        b = has_mdp_minors(dual(fx.code))
-        if a != b:
-            problems.append(f"{name}: mdp {a} but dual mdp {b}")
+        b, brute = has_mdp_minors(d), has_mdp_bruteforce(d)
+        if not a == b == brute:
+            problems.append(f"{name}: mdp {a}, dual mdp {b} (minors) and "
+                            f"{brute} (column distance)")
     return problems, f"{len(all_fixtures())} codes"
 
 

@@ -13,7 +13,8 @@ and the faster one.  An engine whose candidate space exceeds the default
 budget, or whose matrix the code lacks, shows "-".  A row whose engines
 differ at least 2x and by at least 1 ms is marked "gap"; the last line gives
 the range of ``SYNDROME_SCALE`` that picks the faster engine on every such
-row.  Timings vary from machine to machine, so no test reads them; the
+row.  After each fixture's rows, one line gives the rows of the window that
+``has_mdp_minors`` walks and its median time.  Timings vary from machine to machine, so no test reads them; the
 pinned picks live in ``test_distances.py``.
 """
 
@@ -24,7 +25,8 @@ import time
 
 from convmds import distances
 from convmds.distances import (DEFAULT_BUDGET, SYNDROME_SCALE, _engines,
-                               column_distance, lm_params, profile)
+                               column_distance, has_mdp_minors, lm_params,
+                               profile)
 from convmds.fixtures import all_fixtures
 
 CELL_SECONDS = 2.0  # stop repeating an engine once it has used this much
@@ -62,11 +64,11 @@ def picked(c, j, floor):
     return seen[0]
 
 
-def median_ms(c, j, floor, method, repeats):
+def median_ms(run, repeats):
     times = []
     while len(times) < repeats and sum(times) < CELL_SECONDS:
         start = time.perf_counter()
-        column_distance(c, j, method=method, at_least=floor)
+        run()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
 
@@ -92,7 +94,10 @@ def main():
             for space, work, method in _engines(c, j, floor):
                 works[method] = work
                 if space <= DEFAULT_BUDGET:
-                    ms[method] = median_ms(c, j, floor, method, args.repeats)
+                    ms[method] = median_ms(
+                        lambda: column_distance(c, j, method=method,
+                                                at_least=floor),
+                        args.repeats)
             faster, mark = "-", ""
             if len(ms) == 2:
                 faster = min(ms, key=ms.get)
@@ -111,6 +116,13 @@ def main():
                       for m in ("messages", "syndrome")]
             print(f"{name:16} {j:2d} {floor:5d} {d:3d} {' '.join(cells)} "
                   f"{picked(c, j, floor):>8} {faster:>8} {mark}", flush=True)
+        L, _ = lm_params(c.n, c.k, c.delta)
+        P = min((m for m in (c.par, c.gen) if m is not None),
+                key=lambda m: m.rows)
+        mdp_ms = median_ms(lambda: has_mdp_minors(c), args.repeats)
+        print(f"{name:16} has_mdp_minors walks {(L + 1) * P.rows} rows of "
+              f"{'H' if P is c.par else 'G'}'s lower window at L={L}: "
+              f"{mdp_ms:.2f} ms", flush=True)
     print(f"SYNDROME_SCALE = {SYNDROME_SCALE}; the rows marked gap pick the "
           f"faster engine for any scale in [{lo:.3g}, {hi:.3g})")
 

@@ -96,7 +96,9 @@ def test_c4_construction_pipelines_certify_strongly_mds():
 
 def test_c5_duality_flags_and_distances():
     for name, fx in sorted(all_fixtures().items()):
-        assert has_mdp_minors(fx.code) == has_mdp_minors(dual(fx.code)), name
+        d = dual(fx.code)
+        assert has_mdp_minors(fx.code) == has_mdp_minors(d), name
+        assert has_mdp_minors(fx.code) == has_mdp_bruteforce(d), name
     c = fixture("mds_3_1_2_q16").code
     prof = profile(c, horizon=4)
     assert prof.values[3] == 8 and prof.values[4] == 9

@@ -5,7 +5,7 @@ import pytest
 from convmds import distances
 from convmds.cli import main
 from convmds.code import load_code
-from convmds.decoder import load_received
+from convmds.decoder import encode_word, load_received, save_received
 
 FIX = "fixtures"
 
@@ -195,6 +195,21 @@ def test_decode_fixture_word(tmp_path, capsys):
     assert word.n == 2
 
 
+def test_decode_out_writes_a_codeword_that_reaches_into_the_tail(tmp_path,
+                                                                capsys):
+    # the message (1 + 3 D^5) sends v_6 and v_7 into the undecoded tail of a
+    # 10-block word; --out keeps blocks 0..core_end = 0..5
+    c = load_code(f"{FIX}/smds_2_1_2_q8.code")
+    word, out_file = tmp_path / "tail.word", tmp_path / "decoded.word"
+    save_received(encode_word(c, [(1, 0, 0, 0, 0, 3)], 10), word)
+    rc, out, err = run(capsys, "decode", "--code", f"{FIX}/smds_2_1_2_q8.code",
+                       "--received", str(word), "--out", str(out_file),
+                       "--format", "csv")
+    assert rc == 0 and not err
+    assert "status,success" in out
+    assert load_received(out_file).symbols == load_received(word).symbols[:6]
+
+
 def test_decode_word_file_with_inline_comments(tmp_path, capsys):
     word = tmp_path / "commented.word"
     with open(f"{FIX}/received_2_1_2_q8.word", encoding="utf-8") as fh:
@@ -323,6 +338,19 @@ def test_malformed_code_file_is_a_parse_error(tmp_path, capsys, field,
     path.write_text(f"field {field}\ncode n=3 k=2 {params}\n{header}\n"
                     "1\n1,1\n1,0,1\n")
     rc, out, err = run(capsys, "classify", "--code", str(path))
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[PARSE_ERROR]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--code"],
+    ["decode", "--code", f"{FIX}/smds_2_1_2_q8.code", "--received"],
+], ids=["code", "received"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + "field GF(2)\n".encode("utf-16-le"))
+    rc, out, err = run(capsys, *argv, str(path))
     assert rc == 1 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error[PARSE_ERROR]")

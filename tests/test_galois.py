@@ -43,9 +43,14 @@ def test_standard_fields_exist():
 
 
 def test_mul_matches_convolution_oracle():
+    # the GF(3^2) and GF(5^2) moduli are not monic; GF(3^8) lies above the
+    # table limit, so each of its products takes the raw path
+    explicit = [parse_field(spec) for spec in (
+        "GF(3^2;1,2,2)", "GF(5^2;2,1,3)", "GF(3^8;1,0,0,0,0,1,1,0,1)")]
+    assert explicit[-1].q > galois._TABLE_LIMIT and explicit[-1]._log is None
     rng = XorShift64Star(2024)
-    for q in FIELD_SIZES:
-        F = standard_field(q)
+    for F in [standard_field(q) for q in FIELD_SIZES] + explicit:
+        q = F.q
         for _ in range(60):
             a, b = rng.below(q), rng.below(q)
             assert F.mul(a, b) == oracle_mul(F, a, b)
