@@ -54,6 +54,13 @@ from .poly import (
     series_div,
 )
 
+MAX_LENGTH = 1 << 16  # blocks in a received word, an error pattern or a profile
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_LENGTH:
+        raise BadParams(f"length {length} above the supported {MAX_LENGTH} blocks")
+
 
 @dataclass(frozen=True)
 class PolyMatrix:
@@ -325,20 +332,26 @@ def laurent_table(c: CodeSpec, M: int, pivot: int = 0):
     return [[s[t] for s in series] for t in range(M + 1)]
 
 
+def systematic_window(field: FiniteField, hrows) -> SlidingMatrix:
+    """The window [I | R] at M = len(hrows) - 1 whose block row t, block
+    column b of R holds the Laurent row h_{t-b} (zero for b > t)."""
+    M = len(hrows) - 1
+    eye = _block_toeplitz([[[1]]], M, upper=False)
+    right = _block_toeplitz([[h] for h in hrows], M, upper=False)
+    return SlidingMatrix(field, M, len(hrows[0]) + 1,
+                         [a + b for a, b in zip(eye, right)])
+
+
 def systematic_sliding_parity(c: CodeSpec, M: int, pivot: int = 0) -> SlidingMatrix:
     """The reduced parity window [I | block Toeplitz of Laurent rows].
 
     Columns are reordered so the pivot coordinate's M+1 time positions come
     first (the identity part); block column b of the right part holds the
-    remaining coordinates at time b, and block row t, block column b of the
-    right part is the Laurent row h_{t-b}.
+    remaining coordinates at time b.
     """
     if M < 0:
         raise BadParams("window index must be nonnegative")
-    eye = _block_toeplitz([[[1]]], M, upper=False)
-    right = _block_toeplitz([[h] for h in laurent_table(c, M, pivot)], M,
-                            upper=False)
-    return SlidingMatrix(c.field, M, c.n, [a + b for a, b in zip(eye, right)])
+    return systematic_window(c.field, laurent_table(c, M, pivot))
 
 
 def systematic_h_rows(S: SlidingMatrix):
@@ -360,13 +373,39 @@ def content_lines(text: str) -> list:
     return [line for line in lines if line]
 
 
+def read_head(text: str, kind: str, keys) -> tuple:
+    """The field, the values of ``keys`` and the body lines of a file.
+
+    The header rule of both file formats: the first content line is
+    ``field GF(...)``, the second is ``kind`` and then each of ``keys``
+    exactly once, in any order, as ``key=<int>``, and nothing else.
+    """
+    lines = content_lines(text)
+    head = lines[1].split() if len(lines) > 1 else []
+    try:
+        values = {key: int(val) for key, val in
+                  (tok.split("=", 1) for tok in head[1:])}
+    except ValueError:  # a token without "=" or with a non-integer value
+        values = {}
+    if (head[:1] != [kind] or not lines[0].startswith("field ")
+            or len(head) != len(keys) + 1 or set(values) != set(keys)):
+        expected = " ".join([kind] + [f"{key}=<int>" for key in keys])
+        raise ParseError(f"a {kind} file starts with the lines "
+                         f"'field GF(...)' and '{expected}'")
+    return (parse_field(lines[0][len("field "):]),
+            tuple(values[key] for key in keys), lines[2:])
+
+
+def file_head(comment: str, field: FiniteField, kind: str, **values) -> list:
+    """Comment lines, the field line and the header line of either format."""
+    lines = [f"# {part}".rstrip() for part in comment.splitlines()]
+    lines.append(f"field {field}")
+    lines.append(" ".join([kind] + [f"{k}={v}" for k, v in values.items()]))
+    return lines
+
+
 def format_code_file(c: CodeSpec, comment: str = "") -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}".rstrip())
-    lines.append(f"field {c.field}")
-    lines.append(f"code n={c.n} k={c.k} delta={c.delta}")
+    lines = file_head(comment, c.field, "code", n=c.n, k=c.k, delta=c.delta)
     for tag, M in (("G", c.gen), ("H", c.par)):
         if M is None:
             continue
@@ -378,59 +417,30 @@ def format_code_file(c: CodeSpec, comment: str = "") -> str:
 
 
 def parse_code_file(text: str) -> CodeSpec:
-    lines = content_lines(text)
-    pos = 0
+    field, (n, k, delta), lines = read_head(text, "code", ("n", "k", "delta"))
+    body = iter(lines)
 
     def take():
-        nonlocal pos
-        if pos >= len(lines):
+        line = next(body, None)
+        if line is None:
             raise ParseError("unexpected end of code description")
-        pos += 1
-        return lines[pos - 1]
+        return line
 
-    head = take()
-    if not head.startswith("field "):
-        raise ParseError("code description must start with a field line")
-    field = parse_field(head[len("field ") :])
-    params = take()
-    if not params.startswith("code "):
-        raise ParseError("second line must be 'code n=.. k=.. delta=..'")
-    kv = {}
-    for tok in params[len("code ") :].split():
-        if "=" not in tok:
-            raise ParseError(f"bad code parameter token {tok!r}")
-        key, val = tok.split("=", 1)
+    mats = {}
+    for line in body:
+        tag, *size = line.split()
         try:
-            kv[key] = int(val)
-        except ValueError:
-            raise ParseError(f"bad code parameter token {tok!r}") from None
-    try:
-        n, k, delta = kv["n"], kv["k"], kv["delta"]
-    except KeyError as e:
-        raise ParseError(f"missing code parameter {e}")
-    gen = par = None
-    while pos < len(lines):
-        header = take().split()
-        if len(header) != 3 or header[0] not in ("G", "H"):
-            raise ParseError(f"bad matrix header {' '.join(header)!r}")
-        try:
-            tag, r, cnum = header[0], int(header[1]), int(header[2])
-        except ValueError:
-            raise ParseError(f"bad matrix header {' '.join(header)!r}") from None
-        entries = []
-        for _ in range(r):
-            row = [parse_poly(take(), field) for _ in range(cnum)]
-            entries.append(row)
-        M = pm_make(field, entries)
-        if tag == "G":
-            if gen is not None:
-                raise ParseError("duplicate G block")
-            gen = M
-        else:
-            if par is not None:
-                raise ParseError("duplicate H block")
-            par = M
-    return make_code(field, n, k, delta, gen=gen, par=par)
+            r, cnum = map(int, size)
+        except ValueError:  # not two integers
+            tag = None
+        if tag not in ("G", "H"):
+            raise ParseError(f"bad matrix header {line!r}")
+        M = pm_make(field, [[parse_poly(take(), field) for _ in range(cnum)]
+                            for _ in range(r)])
+        if tag in mats:
+            raise ParseError(f"duplicate {tag} block")
+        mats[tag] = M
+    return make_code(field, n, k, delta, gen=mats.get("G"), par=mats.get("H"))
 
 
 def read_text(path) -> str:

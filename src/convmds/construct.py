@@ -36,6 +36,7 @@ from .code import (
     dual,
     make_code,
     systematic_h_rows,
+    systematic_window,
 )
 from .distances import is_strongly_mds, lm_params, singleton_bound
 from .errors import (
@@ -74,7 +75,8 @@ def column_property_holds(S: SlidingMatrix) -> bool:
 
 
 def build_hhat(T: LowerToeplitz, n: int, M: int) -> SlidingMatrix:
-    """Assemble the systematic window from rows (n-1), 2(n-1), ... of T."""
+    """Assemble the systematic window from rows (n-1), 2(n-1), ... of T:
+    their Laurent rows h_t are the slices T.col[t(n-1) : (t+1)(n-1)] reversed."""
     if n < 2 or M < 0:
         raise BadParams(f"bad parameters n={n} M={M}")
     tau = (M + 1) * (n - 1)
@@ -82,10 +84,9 @@ def build_hhat(T: LowerToeplitz, n: int, M: int) -> SlidingMatrix:
         raise ShapeMismatch(f"need a {tau}x{tau} matrix, got {T.size}x{T.size}")
     if T.field is None or not is_superregular(T):
         raise NotSuperregular("input matrix is not superregular over its field")
-    rows = T.rows()
-    data = [[1 if s == r else 0 for s in range(M + 1)]
-            + rows[(r + 1) * (n - 1) - 1] for r in range(M + 1)]
-    S = SlidingMatrix(T.field, M, n, data)
+    w = n - 1
+    S = systematic_window(T.field, [T.col[t * w:(t + 1) * w][::-1]
+                                    for t in range(M + 1)])
     if not column_property_holds(S):
         raise ColumnPropertyFailed("window misses the strong-MDS column property")
     return S

@@ -16,19 +16,19 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .code import (CodeSpec, content_lines, pm_memory, read_text,
-                   sliding_parity, window_generator, window_parity)
+from .code import MAX_LENGTH  # noqa: F401  (the block cap, importable here too)
+from .code import (CodeSpec, _check_length, file_head, pm_memory, read_head,
+                   read_text, sliding_parity, window_generator, window_parity)
 from .distances import lm_params
 from .errors import (Ambiguous, BadParams, FieldMismatch, Infeasible,
                      MissingMatrix, NoSolution, NotRateNMinus1, ParseError,
                      ShapeMismatch, BudgetExceeded)
-from .galois import FiniteField, parse_field
+from .galois import FiniteField
 from .poly import (format_poly, parse_poly, poly_add, poly_coef, poly_deg,
                    poly_mul, poly_norm, series_div)
 from .rng import XorShift64Star
 
 DEFAULT_SOLVE_BUDGET = 1 << 20
-MAX_LENGTH = 1 << 16  # blocks in a received word or an error pattern
 
 
 def decoding_radius(M: int) -> int:
@@ -39,11 +39,6 @@ def decoding_radius(M: int) -> int:
 def simulation_horizon(M: int) -> int:
     """Last time index of a simulated word when none is given: 12 + 2M."""
     return 12 + 2 * M
-
-
-def _check_length(length: int) -> None:
-    if length > MAX_LENGTH:
-        raise BadParams(f"length {length} above the supported {MAX_LENGTH} blocks")
 
 
 def _check_values(field: FiniteField, values) -> None:
@@ -419,8 +414,10 @@ def channel_trials(c: CodeSpec, trials: int, seed: int, horizon: int,
     One xorshift64* stream, seeded with 97 + seed, draws each message (k
     polynomials of 5 coefficients) and then that trial's 64-bit pattern seed,
     so neighbouring run seeds share no pattern.  Patterns span horizon + 1
-    blocks; a horizon past the supported length fails before any trial."""
+    blocks; a horizon past the supported length, like a code that is not of
+    rate (n-1)/n, fails before any trial."""
     _check_length(horizon + 1)
+    _parity_row(c)
     _, M = lm_params(c.n, c.k, c.delta)
     t = decoding_radius(M)
     rng = XorShift64Star(97 + seed)
@@ -494,33 +491,14 @@ def simulate(c: CodeSpec, message, error: ErrorPattern, horizon: int,
 
 
 def format_received_file(w: ReceivedWord, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {line}" for line in comment.splitlines())
-    lines.append(f"field {w.field}")
-    lines.append(f"received n={w.n} length={len(w.symbols)}")
+    lines = file_head(comment, w.field, "received", n=w.n, length=len(w.symbols))
     for i in range(w.n):
         lines.append(format_poly(w.coordinate(i)))
     return "\n".join(lines) + "\n"
 
 
 def parse_received_file(text: str) -> ReceivedWord:
-    lines = content_lines(text)
-    if len(lines) < 2:
-        raise ParseError("received-word file needs a field and a header line")
-    if not lines[0].startswith("field "):
-        raise ParseError("first line must be 'field GF(...)'")
-    field = parse_field(lines[0][6:].strip())
-    head = lines[1].split()
-    if len(head) != 3 or head[0] != "received":
-        raise ParseError("second line must be 'received n=<n> length=<len>'")
-    try:
-        kv = dict(part.split("=", 1) for part in head[1:])
-        n = int(kv["n"])
-        length = int(kv["length"])
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad received header: {lines[1]!r}") from exc
-    body = lines[2:]
+    field, (n, length), body = read_head(text, "received", ("n", "length"))
     if len(body) != n:
         raise ParseError(f"expected {n} coordinate lines, found {len(body)}")
     polys = [parse_poly(ln, field) for ln in body]

@@ -61,6 +61,7 @@ from math import comb
 from . import linalg
 from .code import (
     CodeSpec,
+    _check_length,
     _sliding,
     pm_coefficient,
     pm_memory,
@@ -320,12 +321,14 @@ def profile(c: CodeSpec, horizon: int | None = None,
     u_0 != 0 and cannot add weight) and d^c_j <= d_free <= the Singleton
     bound, so once d^c_j meets the bound all later values equal it.  It never
     fires before M: for j < M, (n-k)(j+1)+1 is below the Singleton bound.
+    A profile spans at most ``code.MAX_LENGTH`` windows, like a word.
     """
     L, M = lm_params(c.n, c.k, c.delta)
     if horizon is None:
         horizon = M
     if horizon < 0:
         raise BadParams("horizon must be nonnegative")
+    _check_length(horizon + 1)
     sing = singleton_bound(c.n, c.k, c.delta)
     values = []
     for j in range(horizon + 1):

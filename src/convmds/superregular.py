@@ -224,25 +224,32 @@ def smallest_prime_superregular(n: int) -> int:
 # --- searches --------------------------------------------------------------
 
 
-def _first_hit(F, ranges, given, level, charge, budget):
-    """First list in the product of ``ranges`` whose every level holds.
+def _first_hit(F, length, span, given, level, charge, budget):
+    """First list of ``length`` entries, entry i in the range span(i), whose
+    every level holds.
 
-    Depth first in lexicographic order: making the prefix n long charges
-    charge[n] (BudgetExceeded past ``budget``) and checks the minors of
-    level(n), and a zero one prunes every extension, so None proves that
-    no list passes.  The first ``given`` entries (one value each) are not
-    charged or checked.  A loop: a closure that calls itself is a cycle.
+    Depth first in lexicographic order: setting entry i charges charge(i)
+    (BudgetExceeded past ``budget``) and checks the minors of level(i + 1),
+    and a zero one prunes every extension, so None proves that no list
+    passes.  The first ``given`` entries (one value each) are not
+    charged or checked.  A depth's range and charge are built when the walk
+    first reaches it.  A loop: a closure that calls itself is a cycle.
     """
-    prefix, spent = [r[0] for r in ranges[:given + 1]], 0
+    ranges = [span(i) for i in range(given + 1)]
+    costs = [charge(i) for i in range(given + 1)]
+    prefix, spent = [r[0] for r in ranges], 0
     while True:
         n = len(prefix)
-        spent += charge[n]
+        spent += costs[n - 1]
         if spent > budget:
             raise BudgetExceeded(
                 f"exhaustive search over budget {budget} at {prefix}")
         if _level_ok(F, prefix, level):
-            if n == len(ranges):
+            if n == length:
                 return prefix
+            if n == len(ranges):  # the walk reaches depth n for the first time
+                ranges.append(span(n))
+                costs.append(charge(n))
             prefix.append(ranges[n][0])
             continue
         while len(prefix) > given and prefix[-1] == ranges[len(prefix) - 1][-1]:
@@ -279,8 +286,8 @@ def search_toeplitz(l: int, field: FiniteField, mode: str = "exhaustive",
         # superregular exactly when T is.  Hence if no column with t_2 = 1
         # is a hit, none is; and as every t_2 = 0 column fails, the first
         # hit in product order has t_2 = 1.
-        col = _first_hit(field, [range(1, 2)] * 2 + [range(q)] * (l - 2), 1, minor_level,
-                         [0] + [comb(2 * k, k) // (k + 1) for k in range(l)], budget)
+        col = _first_hit(field, l, lambda i: range(1, 2) if i < 2 else range(q), 1,
+                         minor_level, lambda k: comb(2 * k, k) // (k + 1), budget)
         return None if col is None else LowerToeplitz(field, tuple(col))
     if mode == "seeded":
         rng = XorShift64Star(0 if seed is None else seed)
@@ -330,7 +337,7 @@ def general_level(l: int, s: int) -> tuple:
     one with smaller offsets), as rows of diagonal indices i - j + l - 1,
     smaller first."""
     m, level, shared = s - l + 1, [], {}
-    for size in range(1, l + 1):
+    for size in range(1, min(l, l + m) + 1):  # rows end at a <= min(l, l + m)
         for a in range(max(size, 1 + m), min(l, l + m) + 1):
             b = a - m  # rows end at a, columns start at b
             for head in itertools.combinations(range(1, a), size - 1):
@@ -360,7 +367,7 @@ def search_general_toeplitz(l: int, field: FiniteField,
         raise BadParams("size must be positive")
     nonzero = range(1, field.q)
     diagonals = _first_hit(
-        field, [nonzero] * (l - 1) + [range(1, 2)] + [nonzero] * (l - 1), 0,
+        field, 2 * l - 1, lambda s: range(1, 2) if s == l - 1 else nonzero, 0,
         lambda n: general_level(l, n - 1),
-        [0] + [general_classes(l, s) for s in range(2 * l - 1)], budget)
+        lambda s: general_classes(l, s), budget)
     return None if diagonals is None else general_toeplitz(field, diagonals)

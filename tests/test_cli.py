@@ -1,5 +1,7 @@
 """Command line behavior: outputs, file round trips, exit codes."""
 
+import time
+
 import pytest
 
 from convmds import distances
@@ -108,6 +110,18 @@ def test_superregular_search_miss(capsys):
                        "GF(2)")
     assert rc == 1 and out == ""
     assert err.startswith("error[NO_SUPERREGULAR_FOUND]")
+
+
+@pytest.mark.parametrize("general", [[], ["--general"]], ids=["lower", "general"])
+def test_superregular_search_of_a_huge_size_misses_quickly(capsys, general):
+    # the walk ends at a low level; no deeper level or charge is built
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "superregular", "--search", "1000000000",
+                       "--field", "GF(2)", *general)
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[NO_SUPERREGULAR_FOUND]")
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,6 +306,24 @@ def test_simulate_rejects_a_horizon_above_the_length_cap(capsys, trials):
     assert rc == 1 and out == ""
     assert err == ("error[BAD_PARAMS]: length 70001 above the supported "
                    "65536 blocks\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_simulate_refuses_a_code_that_is_not_of_rate_n_minus_1(capsys, trials):
+    rc, out, err = run(capsys, "simulate", "--code", f"{FIX}/smds_3_1_1_q4.code",
+                       "--trials", trials)
+    assert rc == 1 and out == ""
+    assert err == "error[NOT_RATE_N_MINUS_1]: feedback decoding needs k = n-1\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "distances"])
+@pytest.mark.parametrize("horizon", ["65536", "1000000000"])
+def test_a_horizon_above_the_length_cap_is_refused(capsys, command, horizon):
+    rc, out, err = run(capsys, command, "--code", f"{FIX}/smds_2_1_2_q8.code",
+                       "--horizon", horizon)
+    assert rc == 1 and out == ""
+    assert err == (f"error[BAD_PARAMS]: length {int(horizon) + 1} above the "
+                   "supported 65536 blocks\n")
 
 
 def test_dual_stdout(capsys):

@@ -1,5 +1,6 @@
 """Code descriptions, sliding matrices, and the code file format."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,13 @@ from convmds.code import (basic_degree, derived_complement, dual,
                           pm_transpose, sliding_generator, sliding_parity,
                           systematic_h_rows, systematic_sliding_parity,
                           window_generator, window_parity)
-from convmds.decoder import encode_word, feedback_decode, simulation_horizon
+from convmds.decoder import (encode_word, feedback_decode, format_received_file,
+                             parse_received_file, simulation_horizon)
 from convmds.distances import has_mdp_minors, lm_params, profile
 from convmds.errors import (A1NotUnit, BadParams, FieldMismatch,
                             MissingMatrix, NotBasic, NotRateNMinus1,
                             ParseError, RankDeficient, ShapeMismatch)
-from convmds.fixtures import all_fixtures, fixture
+from convmds.fixtures import all_fixtures, decode_walkthrough, fixture
 from convmds.galois import standard_field
 from convmds.poly import poly_coef
 from convmds.rng import XorShift64Star
@@ -320,6 +322,53 @@ def test_code_file_round_trip():
         assert back.gen == fx.code.gen and back.par == fx.code.par, name
         assert (back.n, back.k, back.delta) == (fx.code.n, fx.code.k,
                                                 fx.code.delta)
+
+
+def _fixture_texts(kind):
+    """The writer's text of every fixture of one file format."""
+    if kind == "code":
+        return [format_code_file(fx.code, f"fixture {name}")
+                for name, fx in sorted(all_fixtures().items())]
+    return [format_received_file(decode_walkthrough()["received"], "word")]
+
+
+@pytest.mark.parametrize("kind, keys, body", [
+    ("code", ("n", "k", "delta"), "H 2 3\n1\n1\n0\n0\n1\n1\n"),
+    ("received", ("n", "length"), "1\n0,1\n"),
+], ids=["code", "received"])
+def test_both_file_formats_follow_one_header_rule(kind, keys, body):
+    parse, fmt = {"code": (parse_code_file, format_code_file),
+                  "received": (parse_received_file, format_received_file)}[kind]
+    good = dict(zip(keys, (3, 1, 0) if kind == "code" else (2, 3)))
+    line = " ".join([kind] + [f"{k}={v}" for k, v in good.items()])
+    assert parse(f"field GF(2)\n{line}\n{body}") is not None
+    first, last = keys[0], keys[-1]
+    bad_heads = [
+        line.replace(f" {first}={good[first]}", ""),  # a key missing
+        f"{line} extra=1",  # an unknown key
+        f"{line} {first}={good[first]}",  # a repeated key
+        f"{line} {last}=7",  # a repeated key with another value
+        line.replace(f"{last}={good[last]}", f"{last}=x"),  # not an integer
+        line.replace(f"{last}={good[last]}", last),  # no "="
+        line.replace(kind, "code" if kind == "received" else "received"),
+        kind,  # no keys at all
+    ]
+    expected = " ".join([kind] + [f"{k}=<int>" for k in keys])
+    texts = [f"field GF(2)\n{head}\n{body}" for head in bad_heads]
+    texts += [f"GF(2)\n{line}\n{body}", f"{line}\n{body}", "field GF(2)\n", ""]
+    for text in texts:
+        with pytest.raises(ParseError, match=re.escape(f"'{expected}'")):
+            parse(text)
+    for text in _fixture_texts(kind):  # every fixture reads back unchanged
+        back = parse(text)
+        assert fmt(back, text.splitlines()[0][2:]) == text
+
+
+def test_file_head_strips_trailing_spaces_of_comment_lines():
+    w = decode_walkthrough()["received"]
+    for fmt, obj in ((format_code_file, fixture("smds_3_1_1_q4").code),
+                     (format_received_file, w)):
+        assert fmt(obj, "a\n\nb ").splitlines()[:3] == ["# a", "#", "# b"]
 
 
 def test_code_file_parse_errors():

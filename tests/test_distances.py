@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convmds import distances, linalg
-from convmds.code import (dual, sliding_generator, window_generator,
-                          window_parity)
+from convmds.code import (MAX_LENGTH, dual, sliding_generator,
+                          window_generator, window_parity)
 from convmds.distances import (_engines, _message_space, _syndrome_space,
                                column_distance, free_distance,
                                griesmer_feasible, has_mdp_bruteforce,
@@ -248,6 +248,16 @@ def test_profile_of_mds_only_code():
     assert prof.values == [2, 3, 4, 5, 5, 6]
     assert prof.strongly_mds is False
     assert prof.mdp is False
+
+
+def test_profile_horizon_is_capped_like_a_word():
+    c = fixture("smds_2_1_2_q8").code
+    prof = profile(c, MAX_LENGTH - 1)
+    assert len(prof.values) == MAX_LENGTH
+    assert prof.values[:5] == [2, 3, 4, 5, 6] and prof.values[-1] == 6
+    for horizon in (MAX_LENGTH, 10**9):
+        with pytest.raises(BadParams, match="above the supported 65536 blocks"):
+            profile(c, horizon)
 
 
 def test_free_distance_statuses():

@@ -78,6 +78,9 @@ def test_write_fixture_files_round_trip(tmp_path):
     paths = write_fixture_files(tmp_path)
     assert len(paths) == 18
     for path in paths:
+        committed = os.path.join(REPO_FIXTURES, os.path.basename(path))
+        with open(path, "rb") as new, open(committed, "rb") as old:
+            assert new.read() == old.read(), committed
         path = str(path)
         if path.endswith(".code"):
             load_code(path)

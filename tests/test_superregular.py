@@ -173,6 +173,15 @@ def test_general_budget_boundaries(l, q, least, found):
         search_general_toeplitz(l, F, budget=least - 1)
 
 
+def test_searches_build_no_level_the_walk_does_not_reach():
+    # both walks end at a low level: the deeper ranges, charges and levels
+    # of a large size are never built
+    start = time.perf_counter()
+    assert search_toeplitz(16000, standard_field(2)) is None
+    assert search_general_toeplitz(800, standard_field(3)) is None
+    assert time.perf_counter() - start < 1
+
+
 def test_general_search_refuses_a_large_size_quickly():
     # the levels are built one diagonal at a time, each after its charge
     start = time.perf_counter()
