@@ -41,12 +41,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .galois import FiniteField, parse_field
+from .linalg import det_bareiss
 from .poly import (
     format_poly,
     parse_poly,
     poly_add,
     poly_coef,
     poly_deg,
+    poly_divmod,
     poly_gcd,
     poly_mul,
     poly_neg,
@@ -62,6 +64,13 @@ def _check_length(length: int) -> None:
         raise BadParams(f"length {length} above the supported {MAX_LENGTH} blocks")
 
 
+def _check_values(field: FiniteField, values) -> None:
+    """Reject anything that is not an element of the field, once, at entry."""
+    for x in values:
+        if not isinstance(x, int) or not (0 <= x < field.q):
+            raise FieldMismatch(f"value {x!r} outside GF({field.q})")
+
+
 @dataclass(frozen=True)
 class PolyMatrix:
     field: FiniteField
@@ -71,7 +80,7 @@ class PolyMatrix:
 
 
 def pm_make(field: FiniteField, entries) -> PolyMatrix:
-    rows = tuple(tuple(poly_norm(e) for e in row) for row in entries)
+    rows = tuple(tuple(tuple(e) for e in row) for row in entries)
     if not rows or not rows[0]:
         raise ShapeMismatch("empty polynomial matrix")
     cols = len(rows[0])
@@ -79,9 +88,8 @@ def pm_make(field: FiniteField, entries) -> PolyMatrix:
         raise ShapeMismatch("ragged polynomial matrix")
     for row in rows:
         for e in row:
-            for c in e:
-                if not 0 <= c < field.q:
-                    raise FieldMismatch(f"coefficient {c} outside {field}")
+            _check_values(field, e)  # before a trailing 0.0 is normalised away
+    rows = tuple(tuple(poly_norm(e) for e in row) for row in rows)
     return PolyMatrix(field, len(rows), cols, rows)
 
 
@@ -119,32 +127,18 @@ def pm_is_zero(M: PolyMatrix) -> bool:
     return all(e == () for row in M.entries for e in row)
 
 
-def pm_det(F: FiniteField, rows) -> tuple:
-    """Determinant of a square polynomial matrix by cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = ()
-    for j in range(n):
-        if rows[0][j] == ():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = poly_mul(F, rows[0][j], pm_det(F, minor))
-        if j % 2:
-            term = poly_neg(F, term)
-        acc = poly_add(F, acc, term)
-    return acc
-
-
 def full_size_minors(M: PolyMatrix):
-    """All maximal minors (column choices of size M.rows) as polynomials."""
+    """All maximal minors (column choices of size M.rows) as polynomials,
+    each by fraction-free elimination over F[D]."""
     if M.rows > M.cols:
         raise ShapeMismatch("more rows than columns")
-    out = []
-    for cols in itertools.combinations(range(M.cols), M.rows):
-        sub = [[M.entries[i][j] for j in cols] for i in range(M.rows)]
-        out.append((cols, pm_det(M.field, sub)))
-    return out
+    F = M.field
+    ring = dict(mul=functools.partial(poly_mul, F),
+                sub=lambda f, g: poly_add(F, f, poly_neg(F, g)),
+                div=lambda f, g: poly_divmod(F, f, g)[0], zero=())
+    return [(cols, det_bareiss([[row[j] for j in cols] for row in M.entries],
+                               **ring))
+            for cols in itertools.combinations(range(M.cols), M.rows)]
 
 
 def basic_degree(M: PolyMatrix) -> int | None:
@@ -322,6 +316,8 @@ def laurent_table(c: CodeSpec, M: int, pivot: int = 0):
     non-pivot coordinate's expansion; row t of the result collects the D^t
     coefficients in ascending coordinate order.
     """
+    if M < 0:
+        raise BadParams("window index must be nonnegative")
     if c.k != c.n - 1:
         raise NotRateNMinus1("systematic form needs k = n-1")
     a = list(window_parity(c).entries[0])
@@ -349,8 +345,6 @@ def systematic_sliding_parity(c: CodeSpec, M: int, pivot: int = 0) -> SlidingMat
     first (the identity part); block column b of the right part holds the
     remaining coordinates at time b.
     """
-    if M < 0:
-        raise BadParams("window index must be nonnegative")
     return systematic_window(c.field, laurent_table(c, M, pivot))
 
 

@@ -17,8 +17,9 @@ from math import comb
 
 from . import linalg
 from .code import MAX_LENGTH  # noqa: F401  (the block cap, importable here too)
-from .code import (CodeSpec, _check_length, file_head, pm_memory, read_head,
-                   read_text, sliding_parity, window_generator, window_parity)
+from .code import (CodeSpec, _check_length, _check_values, file_head,
+                   pm_memory, read_head, read_text, sliding_parity,
+                   window_generator, window_parity)
 from .distances import lm_params
 from .errors import (Ambiguous, BadParams, FieldMismatch, Infeasible,
                      MissingMatrix, NoSolution, NotRateNMinus1, ParseError,
@@ -39,13 +40,6 @@ def decoding_radius(M: int) -> int:
 def simulation_horizon(M: int) -> int:
     """Last time index of a simulated word when none is given: 12 + 2M."""
     return 12 + 2 * M
-
-
-def _check_values(field: FiniteField, values) -> None:
-    """Reject anything that is not an element of the field, once, at entry."""
-    for x in values:
-        if not isinstance(x, int) or not (0 <= x < field.q):
-            raise FieldMismatch(f"value {x!r} outside GF({field.q})")
 
 
 # --- received words -------------------------------------------------------
@@ -353,8 +347,8 @@ def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
     Sampling stops early once every zero slot lies under a window holding t
     errors: windows never lose errors, so no later try could be accepted.
     """
-    if length < 1 or n < 1 or M < 0 or t < 0:
-        raise BadParams("pattern needs length, n >= 1 and M, t >= 0")
+    if length < 1 or n < 1 or M < 0 or t < 0 or (errors or 0) < 0:
+        raise BadParams("pattern needs length, n >= 1 and M, t, errors >= 0")
     _check_length(length)
     rng = XorShift64Star(seed)
     grid = [[0] * n for _ in range(length)]

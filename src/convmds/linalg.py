@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over a finite field, plus integer determinants.
+"""Exact linear algebra over a finite field, plus fraction-free determinants.
 
 Matrices are lists of row lists of int elements; vectors are lists or tuples.
 Everything here is plain Gaussian elimination sized for desk-scale problems
@@ -14,6 +14,7 @@ size, leaving each target's own vector out of its walks.
 
 from __future__ import annotations
 
+import operator
 from math import comb
 
 from .errors import BudgetExceeded
@@ -245,24 +246,34 @@ def least_span_size(F: FiniteField, vectors, targets, floor: int, limit: int,
     return None
 
 
-def det_bareiss(A):
-    """Exact integer determinant by fraction-free elimination."""
+def det_bareiss(A, mul=operator.mul, sub=operator.sub, div=operator.floordiv,
+                zero=0):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    The entries live in an integral domain given by its multiplication,
+    subtraction, exact division and zero: the integers by default, F[D] for
+    the polynomial minors of ``code``.  After step c every entry right of and
+    below the pivot is a minor of A of order c + 2, so each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22, 1968).  The empty
+    matrix has determinant 1.
+    """
     n = len(A)
     if n == 0:
         return 1
-    M = [[int(x) for x in row] for row in A]
-    sign = 1
-    prev = 1
+    M = [list(row) for row in A]
+    negate = False
+    prev = None  # the first step divides by one
     for c in range(n - 1):
-        if M[c][c] == 0:
-            pr = next((i for i in range(c + 1, n) if M[i][c]), None)
+        if M[c][c] == zero:
+            pr = next((i for i in range(c + 1, n) if M[i][c] != zero), None)
             if pr is None:
-                return 0
+                return zero
             M[c], M[pr] = M[pr], M[c]
-            sign = -sign
+            negate = not negate
+        pivot = M[c][c]
         for i in range(c + 1, n):
             for j in range(c + 1, n):
-                M[i][j] = (M[i][j] * M[c][c] - M[i][c] * M[c][j]) // prev
-            M[i][c] = 0
-        prev = M[c][c]
-    return sign * M[n - 1][n - 1]
+                x = sub(mul(M[i][j], pivot), mul(M[i][c], M[c][j]))
+                M[i][j] = x if prev is None else div(x, prev)
+        prev = pivot
+    return sub(zero, M[n - 1][n - 1]) if negate else M[n - 1][n - 1]

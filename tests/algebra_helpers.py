@@ -5,13 +5,16 @@ polynomial and polynomial-matrix products can be checked pointwise;
 ``identity`` is the n x n identity matrix over a field; ``mat_mul`` and
 ``vec_mat`` are plain matrix products, for checking solutions and
 encodings; ``solve_all`` describes the whole affine solution set of a
-linear system and ``affine_solutions`` lists it, for the oracles.
+linear system and ``affine_solutions`` lists it, for the oracles;
+``pm_det`` is the cofactor expansion of a polynomial determinant, the
+oracle of ``code.full_size_minors``.
 """
 
 import itertools
 
 from convmds.galois import FiniteField
 from convmds.linalg import _eliminate
+from convmds.poly import poly_add, poly_mul, poly_neg
 
 
 def identity(F: FiniteField, n: int):
@@ -85,3 +88,20 @@ def affine_solutions(F: FiniteField, A, b):
             x = [F.add(u, F.mul(m, v)) for u, v in zip(x, vec)]
         out.append(x)
     return out
+
+
+def pm_det(F: FiniteField, rows) -> tuple:
+    """Determinant of a square polynomial matrix by cofactor expansion."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = ()
+    for j in range(n):
+        if rows[0][j] == ():
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = poly_mul(F, rows[0][j], pm_det(F, minor))
+        if j % 2:
+            term = poly_neg(F, term)
+        acc = poly_add(F, acc, term)
+    return acc

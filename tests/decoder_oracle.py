@@ -59,8 +59,8 @@ def make_error_pattern(field: FiniteField, length: int, n: int, M: int, t: int,
     Adversarial mode plants t+1 errors inside one window on purpose.  When
     ``errors`` is given, exactly that many placements are required.
     """
-    if length < 1 or n < 1 or M < 0 or t < 0:
-        raise BadParams("pattern needs length, n >= 1 and M, t >= 0")
+    if length < 1 or n < 1 or M < 0 or t < 0 or (errors or 0) < 0:
+        raise BadParams("pattern needs length, n >= 1 and M, t, errors >= 0")
     rng = XorShift64Star(seed)
     grid = [[0] * n for _ in range(length)]
     q = field.q

@@ -7,6 +7,8 @@ simulation recovery, and the brute-force method equivalences.  Run with
 """
 
 import itertools
+import re
+from pathlib import Path
 
 from convmds import selftest
 from convmds.code import dual, laurent_table
@@ -168,3 +170,13 @@ def test_c8_distance_feasibility_bound():
     least = next(q for q in prime_powers
                  if griesmer_feasible(7, 2, 2, memory=1, d=13, q=q, i_max=1))
     assert least == 13
+
+
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md quickstart", "exec"), scope)
+    assert scope["rep"].ok

@@ -20,11 +20,11 @@ from convmds.errors import (A1NotUnit, BadParams, FieldMismatch,
                             MissingMatrix, NotBasic, NotRateNMinus1,
                             ParseError, RankDeficient, ShapeMismatch)
 from convmds.fixtures import all_fixtures, decode_walkthrough, fixture
-from convmds.galois import standard_field
+from convmds.galois import parse_field, standard_field
 from convmds.poly import poly_coef
 from convmds.rng import XorShift64Star
 from convmds.selftest import methods_agreement
-from algebra_helpers import identity, mat_mul, poly_eval, vec_mat
+from algebra_helpers import identity, mat_mul, pm_det, poly_eval, vec_mat
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 F2 = standard_field(2)
@@ -39,6 +39,9 @@ def test_pm_make_validation():
         pm_make(F4, [[(1,)], [(1,), (2,)]])
     with pytest.raises(FieldMismatch):
         pm_make(F4, [[(9,)]])
+    for coefficient in (1.0, "1", 0.0):  # not ints, though 0 <= 1.0 < 4
+        with pytest.raises(FieldMismatch, match=r"^value .* outside GF\(4\)$"):
+            make_code(F4, 2, 1, 1, gen=[[(1, coefficient), (1,)]])
     M = pm_make(F4, [[(1, 0, 0), (0,)]])
     assert M.entries == (((1,), ()),)
 
@@ -78,6 +81,54 @@ def test_basic_and_degree():
         basic_degree(pm_make(F2, [[(1,), (1,)], [(1,), (1,)]]))
     minors = dict(full_size_minors(good))
     assert minors == {(0,): (1,), (1,): (0, 1)}
+
+
+def test_full_size_minors_match_cofactor_expansion():
+    rng = XorShift64Star(31)
+    fields = [standard_field(q) for q in (2, 4, 8, 16, 64, 11)]
+    fields.append(parse_field("GF(3^2;2,1,1)"))
+    compared = 0
+    for F in fields:
+        for rows in range(1, 6):
+            for _ in range(6):
+                cols = rows + rng.below(3)
+                # zero and constant entries are frequent, so zero pivots
+                # and row swaps occur
+                M = pm_make(F, [[tuple(rng.below(F.q)
+                                       for _ in range(rng.below(4)))
+                                 for _ in range(cols)] for _ in range(rows)])
+                for chosen, minor in full_size_minors(M):
+                    sub = [[row[j] for j in chosen] for row in M.entries]
+                    assert minor == pm_det(F, sub), (F, M, chosen)
+                    compared += 1
+    assert compared > 1000
+
+
+def test_minors_of_a_parity_check_cost_cubic_products(monkeypatch, tmp_path):
+    """An 11 x 12 parity check loads with O(n^3) products per maximal minor,
+    where a cofactor expansion takes 11! per minor."""
+    F = standard_field(16)
+    # Vandermonde rows x^i at 12 distinct points: every maximal minor is a
+    # nonzero constant, so H is basic of degree 0
+    H = [[F.pow(x, i) if i else 1 for x in range(12)] for i in range(11)]
+    path = tmp_path / "wide.code"
+    path.write_text(f"field {F}\ncode n=12 k=1 delta=0\nH 11 12\n"
+                    + "".join(f"{x}\n" for row in H for x in row))
+    bound = 12 * 11 ** 3
+    products = 0
+    real = code.poly_mul
+
+    def counted(*args):
+        nonlocal products
+        products += 1
+        if products > bound:
+            raise AssertionError(f"more than {bound} polynomial products")
+        return real(*args)
+
+    monkeypatch.setattr(code, "poly_mul", counted)
+    c = code.load_code(path)
+    assert (c.n, c.k, c.delta) == (12, 1, 0)
+    assert 0 < products <= bound
 
 
 def test_fixture_matrices_are_basic_with_declared_degree():
@@ -271,8 +322,10 @@ def test_systematic_window_structure():
     left = [row[: M + 1] for row in S.data]
     assert left == identity(c.field, M + 1)
     assert systematic_h_rows(S) == laurent_table(c, M)
-    with pytest.raises(BadParams, match="^window index must be nonnegative$"):
-        systematic_sliding_parity(c, -1)
+    for window in (systematic_sliding_parity, laurent_table):
+        with pytest.raises(BadParams,
+                           match="^window index must be nonnegative$"):
+            window(c, -1)
 
 
 def systematic_column_order(n: int, M: int, pivot: int = 0):

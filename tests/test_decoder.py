@@ -352,6 +352,8 @@ def test_error_pattern_exact_count_and_infeasible():
         make_error_pattern(F8, 0, 2, 4, 2, seed=1)
     with pytest.raises(BadParams):
         make_error_pattern(F8, 1 << 20, 2, 4, 2, seed=0)
+    with pytest.raises(BadParams, match="errors >= 0"):
+        make_error_pattern(F8, 30, 2, 4, 2, seed=9, errors=-1)
 
 
 def test_error_pattern_adversarial():
