@@ -16,11 +16,11 @@ blocks.  With G(D) = sum G_t D^t and H(D) = sum H_t D^t:
 
 so the generator window is upper block triangular and the parity window lower
 block triangular.  Codeword windows v_[0,j] are exactly the row space of the
-generator window and exactly the kernel of the parity window transposed; this
-needs only full-rank constant blocks plus orthogonality, which lets the
-window routines fall back on derived (not necessarily basic) complements when
-only one matrix is stored and k is 1 or n-1.  A code derives its complement
-once, on first use, and keeps it as ``CodeSpec.complement``.
+generator window and exactly the kernel of the parity window transposed.
+When only one matrix is stored, the window routines read the other from its
+minimal complement, a basic matrix of the same degree (``derived_complement``),
+so every code has both windows.  A code derives its complement once, on first
+use, and keeps it as ``CodeSpec.complement``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .galois import FiniteField, parse_field
-from .linalg import det_bareiss
+from .linalg import _eliminate, det_bareiss
 from .poly import (
     format_poly,
     parse_poly,
@@ -167,9 +167,10 @@ class CodeSpec:
     par: PolyMatrix | None = None
 
     @functools.cached_property
-    def complement(self) -> PolyMatrix | None:
+    def complement(self) -> PolyMatrix:
         """``derived_complement`` of the stored G, else of H; built once."""
-        return derived_complement(self.gen if self.gen is not None else self.par)
+        return derived_complement(self.gen if self.gen is not None else self.par,
+                                  self.delta)
 
 
 def make_code(field, n, k, delta, gen=None, par=None) -> CodeSpec:
@@ -210,49 +211,55 @@ def dual(c: CodeSpec) -> CodeSpec:
 # --- derived complements ------------------------------------------------
 
 
-def _cofactor_row(M: PolyMatrix):
-    """Signed maximal cofactors of an (n-1) x n matrix; orthogonal to it."""
-    minors = [d for _, d in reversed(full_size_minors(M))]  # i-th drops col i
-    return [poly_neg(M.field, d) if i % 2 else d for i, d in enumerate(minors)]
+def derived_complement(M: PolyMatrix, delta: int) -> PolyMatrix:
+    """A minimal basis of the rows orthogonal to the basic matrix M of
+    degree ``delta``: n - M.rows rows whose degrees sum to ``delta``.
 
+    One elimination runs over the first delta+1 block columns of M's lower
+    window at memory + delta.  Column (s, i) holds the coefficients of D^s
+    times column i of M, uncut, so a null vector of the columns up to
+    (s, i) is a row b with M b^T = 0.  For each coordinate i the first
+    non-pivot column (s_i, i) gives the row b_i whose other free variables
+    are 0: b_i has degree s_i, with D^{s_i} + lower terms at i and degree
+    below s_i at every later coordinate.
 
-def _pivot_rows(F: FiniteField, a):
-    """Rows spanning the kernel of a single row a with some a_p(0) a unit."""
-    n = len(a)
-    p = next((i for i in range(n) if poly_coef(a[i], 0)), None)
-    if p is None:
-        raise RankDeficient("row has no unit constant term; not delay free")
+    Block column s+1 is block column s shifted down one block, so a column
+    that depends on the columns before it stays dependent at every later s,
+    and the dependent columns of each coordinate are those from s_i on.
+    Taken in coordinate order, the rows' leading coefficients are unit
+    lower triangular, so the rows are independent and row reduced.  A
+    kernel row of degree at most delta whose last nonzero coefficient (in
+    the window's column order) sits at (s, i) has s >= s_i, and subtracting
+    a multiple of D^{s - s_i} b_i moves that position back; so the rows
+    span every such kernel row.  As M is basic of degree delta, its kernel
+    has a minimal basis whose degrees (the minimal indices) sum to delta
+    (Forney, SIAM J. Control 13, 1975); that basis lies in the span, so
+    there are n - M.rows rows, they generate the whole kernel, and being
+    row reduced their degrees are the minimal indices.
+    """
+    F, n = M.field, M.cols
+    blocks = [pm_coefficient(M, t) for t in range(pm_memory(M) + 1)]
+    A = [row[:(delta + 1) * n]
+         for row in _block_toeplitz(blocks, len(blocks) - 1 + delta, upper=False)]
+    pivots = _eliminate(F, A)
     rows = []
     for i in range(n):
-        if i == p:
+        col = next((c for c in range(i, len(A[0]), n) if c not in pivots), None)
+        if col is None:
             continue
-        row = [() for _ in range(n)]
-        row[i] = a[p]
-        row[p] = poly_neg(F, a[i])
-        rows.append(row)
-    return rows
+        x = [0] * len(A[0])
+        x[col] = 1
+        for r, c in enumerate(pivots):
+            x[c] = F.neg(A[r][col])  # 0 past col, as A is reduced
+        rows.append([tuple(x[j::n]) for j in range(n)])
+    return pm_make(F, rows)
 
 
-def derived_complement(M: PolyMatrix) -> PolyMatrix | None:
-    """Rows spanning the orthogonal complement of M's rows (rationally).
-
-    The cofactor row when M is (n-1) x n, the pivot rows when M is one row,
-    None otherwise.  At n = 2 both apply and the cofactor row is taken.
-    Window computations need only full-rank constant blocks and
-    orthogonality, so the result need not be basic.
-    """
-    if M.rows == M.cols - 1:
-        return pm_make(M.field, [_cofactor_row(M)])
-    if M.rows == 1:
-        return pm_make(M.field, _pivot_rows(M.field, list(M.entries[0])))
-    return None
-
-
-def window_generator(c: CodeSpec) -> PolyMatrix | None:
+def window_generator(c: CodeSpec) -> PolyMatrix:
     return c.gen if c.gen is not None else c.complement
 
 
-def window_parity(c: CodeSpec) -> PolyMatrix | None:
+def window_parity(c: CodeSpec) -> PolyMatrix:
     return c.par if c.par is not None else c.complement
 
 
@@ -290,23 +297,19 @@ def _block_toeplitz(blocks, j: int, upper: bool) -> list:
     return data
 
 
-def _sliding(P: PolyMatrix | None, j: int, upper: bool, missing: str):
+def _sliding(P: PolyMatrix, j: int, upper: bool):
     if j < 0:
         raise BadParams("window index must be nonnegative")
-    if P is None:
-        raise MissingMatrix(missing)
     blocks = [pm_coefficient(P, t) for t in range(pm_memory(P) + 1)]
     return SlidingMatrix(P.field, j, P.cols, _block_toeplitz(blocks, j, upper))
 
 
 def sliding_generator(c: CodeSpec, j: int) -> SlidingMatrix:
-    return _sliding(window_generator(c), j, True,
-                    "no generator available for this code")
+    return _sliding(window_generator(c), j, True)
 
 
 def sliding_parity(c: CodeSpec, j: int) -> SlidingMatrix:
-    return _sliding(window_parity(c), j, False,
-                    "no parity check available for this code")
+    return _sliding(window_parity(c), j, False)
 
 
 def laurent_table(c: CodeSpec, M: int, pivot: int = 0):

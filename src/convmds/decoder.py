@@ -22,8 +22,8 @@ from .code import (CodeSpec, _check_length, _check_values, file_head,
                    window_generator, window_parity)
 from .distances import lm_params
 from .errors import (Ambiguous, BadParams, FieldMismatch, Infeasible,
-                     MissingMatrix, NoSolution, NotRateNMinus1, ParseError,
-                     ShapeMismatch, BudgetExceeded)
+                     NoSolution, NotRateNMinus1, ParseError, ShapeMismatch,
+                     BudgetExceeded)
 from .galois import FiniteField
 from .poly import (format_poly, parse_poly, poly_add, poly_coef, poly_deg,
                    poly_mul, poly_norm, series_div)
@@ -300,7 +300,7 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
             if e:
                 word[j][i] = F.sub(word[j][i], e)
                 for d, coef in enumerate(parity[i]):
-                    if coef and j + d < len(syn):
+                    if coef:
                         syn[j + d] = F.sub(syn[j + d], F.mul(e, coef))
         cycles.append(CycleRecord(j, sw, method, tuple(eta0), j > T - M))
     decoded = tuple(tuple(row) for row in word[:T + 1])
@@ -427,8 +427,6 @@ def channel_trials(c: CodeSpec, trials: int, seed: int, horizon: int,
 def encode_word(c: CodeSpec, message, length: int) -> ReceivedWord:
     """Codeword symbols 0..length-1 of the message row times the generator."""
     G = window_generator(c)
-    if G is None:
-        raise MissingMatrix("no generator available for this code")
     if len(message) != c.k:
         raise ShapeMismatch(f"message needs {c.k} coordinates, got {len(message)}")
     F = c.field
@@ -440,9 +438,6 @@ def encode_word(c: CodeSpec, message, length: int) -> ReceivedWord:
         for r in range(c.k):
             acc = poly_add(F, acc, poly_mul(F, tuple(message[r]), G.entries[r][i]))
         polys.append(acc)
-    top = max([poly_deg(p) for p in polys] + [-1])
-    if top >= length:
-        raise BadParams(f"codeword degree {top} does not fit in length {length}")
     return word_from_polys(F, polys, length)
 
 
@@ -456,12 +451,9 @@ def simulate(c: CodeSpec, message, error: ErrorPattern, horizon: int,
     records whether the injected error kept its window cap.
     """
     F = c.field
-    G = window_generator(c)
-    if G is None:
-        raise MissingMatrix("no generator available for this code")
     _, M = lm_params(c.n, c.k, c.delta)
     mdeg = max([poly_deg(tuple(u)) for u in message] + [-1])
-    if mdeg + pm_memory(G) > horizon - M:
+    if mdeg + pm_memory(window_generator(c)) > horizon - M:
         raise BadParams("message reaches into the undecoded tail")
     if len(error.symbols) > horizon + 1:
         raise BadParams("error pattern outruns the horizon")

@@ -67,9 +67,8 @@ from .code import (
     pm_memory,
     sliding_parity,
     window_generator,
-    window_parity,
 )
-from .errors import BadParams, BudgetExceeded, MissingMatrix
+from .errors import BadParams, BudgetExceeded
 
 DEFAULT_BUDGET = 1 << 28
 SYNDROME_SCALE = 2  # one syndrome-engine step in message-engine additions
@@ -111,25 +110,21 @@ def _syndrome_space(c: CodeSpec, j: int) -> int:
 
 
 def _engines(c: CodeSpec, j: int, floor: int = 0) -> list:
-    """(candidate space, estimated work, method) per engine usable at j."""
+    """(candidate space, estimated work, method) per engine at j."""
     q, n, k, qk = c.field.q, c.n, c.k, c.field.q**c.k
     cap = _window_cap(n, k, c.delta, j)
-    G, H = window_generator(c), window_parity(c)
-    out = []
-    if G is not None:
-        nodes = 1 if j else 0  # the root; at j = 0 it is the leaf
-        for d in range(1, j):
-            ball = sum(comb(d * n, w) * (q - 1) ** w for w in range(cap))
-            nodes += max(1, (qk - 1) // (q - 1) * qk**(d - 1) * ball
-                         // q**(d * n))
-        work = n * qk * (k * (min(pm_memory(G), j) + 1) + nodes)
-        out.append((_message_space(c, j), work, "messages"))
-    if H is not None:
-        sizes = range(max(floor - 1, 0), cap - 1)
-        work = (n - k) * (j + 1) * n * sum(comb((j + 1) * n - 1, s)
+    nodes = 1 if j else 0  # the root; at j = 0 it is the leaf
+    for d in range(1, j):
+        ball = sum(comb(d * n, w) * (q - 1) ** w for w in range(cap))
+        nodes += max(1, (qk - 1) // (q - 1) * qk**(d - 1) * ball
+                     // q**(d * n))
+    nu = min(pm_memory(window_generator(c)), j)
+    messages = n * qk * (k * (nu + 1) + nodes)
+    sizes = range(max(floor - 1, 0), cap - 1)
+    syndrome = (n - k) * (j + 1) * n * sum(comb((j + 1) * n - 1, s)
                                            for s in sizes)
-        out.append((_syndrome_space(c, j), SYNDROME_SCALE * work, "syndrome"))
-    return out
+    return [(_message_space(c, j), messages, "messages"),
+            (_syndrome_space(c, j), SYNDROME_SCALE * syndrome, "syndrome")]
 
 
 def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
@@ -144,8 +139,6 @@ def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
     if j < 0:
         raise BadParams("window index must be nonnegative")
     engines = _engines(c, j, at_least)
-    if not engines:
-        raise MissingMatrix("code carries no usable matrix")
     if method == "auto":
         fits = [(work, m) for space, work, m in engines if space <= budget]
         if not fits:
@@ -160,13 +153,10 @@ def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
 
 
 def _dc_messages(c: CodeSpec, j: int, budget: int, at_least: int) -> int:
-    G = window_generator(c)
-    if G is None:
-        raise MissingMatrix("no generator available")
     if _message_space(c, j) > budget:
         raise BudgetExceeded(f"message space {_message_space(c, j)} over budget")
     cap = _window_cap(c.n, c.k, c.delta, j)
-    search = _MessageSearch(c.field, G, j, cap + 1, at_least)
+    search = _MessageSearch(c.field, window_generator(c), j, cap + 1, at_least)
     search.descend(0, 0)
     assert search.best <= cap, "no window met the distance bound"
     return search.best
@@ -380,8 +370,8 @@ def has_mdp_minors(c: CodeSpec) -> bool:
     """
     L, _ = lm_params(c.n, c.k, c.delta)
     P = min((M for M in (c.par, c.gen) if M is not None),
-            key=lambda M: M.rows, default=None)
-    W = _sliding(P, L, False, "code carries no matrix")
+            key=lambda M: M.rows)
+    W = _sliding(P, L, False)
     r = P.rows
     hi = [(L + 1) * c.n - 1] * ((L + 1) * r)  # 0-based columns of each pick
     for s in range(1, L + 1):

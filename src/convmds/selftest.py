@@ -69,21 +69,20 @@ def verify_free_distance(fx) -> list:
 def methods_agreement(c, jmax: int):
     """Compare the message-side and syndrome-side column distances.
 
-    A side only runs when its predicted search space fits AGREEMENT_BUDGET
-    and the needed matrix exists; returns (comparisons made, problems).
+    Every code has both windows; a window index is compared when both
+    predicted search spaces fit AGREEMENT_BUDGET.  Returns (comparisons
+    made, problems).
     """
     compared = 0
     problems = []
     for j in range(jmax + 1):
-        results = {m: column_distance(c, j, AGREEMENT_BUDGET, m)
-                   for space, _, m in _engines(c, j)
-                   if space <= AGREEMENT_BUDGET}
-        if len(results) == 2:
-            compared += 1
-            if results["messages"] != results["syndrome"]:
-                problems.append(
-                    f"j={j}: messages {results['messages']} != "
-                    f"syndrome {results['syndrome']}")
+        if any(space > AGREEMENT_BUDGET for space, _, _ in _engines(c, j)):
+            continue
+        compared += 1
+        got = column_distance(c, j, AGREEMENT_BUDGET, "messages")
+        want = column_distance(c, j, AGREEMENT_BUDGET, "syndrome")
+        if got != want:
+            problems.append(f"j={j}: messages {got} != syndrome {want}")
     return compared, problems
 
 

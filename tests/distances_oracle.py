@@ -19,7 +19,7 @@ from convmds import linalg
 from convmds.code import (pm_coefficient, pm_memory, sliding_generator,
                           sliding_parity, window_generator)
 from convmds.distances import _message_space, _window_cap, lm_params
-from convmds.errors import BudgetExceeded, MissingMatrix
+from convmds.errors import BudgetExceeded
 from algebra_helpers import vec_mat
 
 _STATE_TABLE_LIMIT = 1 << 18
@@ -27,8 +27,6 @@ _STATE_TABLE_LIMIT = 1 << 18
 
 def dc_messages_state_table(c, j, budget):
     G = window_generator(c)
-    if G is None:
-        raise MissingMatrix("no generator available")
     F, k, n = c.field, c.k, c.n
     q = F.q
     if _message_space(c, j) > budget:
@@ -87,12 +85,10 @@ def admissible_picks(c):
         W = sliding_generator(c, L)
         size = (L + 1) * c.k
         step, upper = c.k, True
-    elif c.par is not None:
+    else:
         W = sliding_parity(c, L)
         size = (L + 1) * (c.n - c.k)
         step, upper = c.n - c.k, False
-    else:
-        raise MissingMatrix("code carries no matrix")
     N = (L + 1) * c.n
     picks = []
     for pick in itertools.combinations(range(1, N + 1), size):

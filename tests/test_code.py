@@ -21,7 +21,7 @@ from convmds.errors import (A1NotUnit, BadParams, FieldMismatch,
                             ParseError, RankDeficient, ShapeMismatch)
 from convmds.fixtures import all_fixtures, decode_walkthrough, fixture
 from convmds.galois import parse_field, standard_field
-from convmds.poly import poly_coef
+from convmds.poly import poly_coef, poly_deg, poly_mul, poly_neg
 from convmds.rng import XorShift64Star
 from convmds.selftest import methods_agreement
 from algebra_helpers import identity, mat_mul, pm_det, poly_eval, vec_mat
@@ -187,6 +187,23 @@ def test_two_sided_fixtures_are_orthogonal():
         assert pm_is_zero(pm_mul(c.gen, pm_transpose(c.par))), name
 
 
+def _check_minimal_complement(M, delta, where):
+    """derived_complement(M, delta) against its oracle: n - rows rows,
+    orthogonal to M, basic of degree delta, row degrees summing to delta."""
+    N = derived_complement(M, delta)
+    assert N.rows == M.cols - M.rows, where
+    assert pm_is_zero(pm_mul(M, pm_transpose(N))), where
+    assert basic_degree(N) == delta, where
+    assert sum(max(map(poly_deg, row)) for row in N.entries) == delta, where
+    return N
+
+
+def _cofactor_row(M):
+    """Signed maximal minors of an (n-1) x n matrix; orthogonal to it."""
+    minors = [d for _, d in reversed(full_size_minors(M))]  # i-th drops col i
+    return [poly_neg(M.field, d) if i % 2 else d for i, d in enumerate(minors)]
+
+
 def test_derived_complements_are_orthogonal():
     compared = 0
     for name, fx in sorted(all_fixtures().items()):
@@ -195,28 +212,65 @@ def test_derived_complements_are_orthogonal():
             for M in (c.gen, c.par):
                 if M is None:
                     continue
-                N = derived_complement(M)
-                if c.k not in (1, c.n - 1):
-                    assert N is None, name
-                    continue
-                assert N.rows == M.cols - M.rows, name
-                assert pm_is_zero(pm_mul(M, pm_transpose(N))), name
+                N = _check_minimal_complement(M, c.delta, name)
+                if M.rows == M.cols - 1:
+                    # one basic row of degree delta: a scalar multiple of the
+                    # cofactor row, so syndrome weights do not move
+                    cof = _cofactor_row(M)
+                    p = next(i for i, e in enumerate(cof) if e)
+                    scale = c.field.div(N.entries[0][p][-1], cof[p][-1])
+                    assert N.entries[0] == tuple(
+                        poly_mul(c.field, (scale,), e) for e in cof), name
         if d.n <= 4:
-            # each engine reads a stored matrix or a derived complement;
-            # the n = 2 duals derive with both rules applicable
+            # each engine reads a stored matrix or a derived complement
             got, problems = methods_agreement(d, jmax=1)
             assert problems == [], name
             compared += got
     assert compared >= 20
+    # G only, k = 2 of n = 5: the syndrome engine runs on the derived H
+    assert methods_agreement(fixture("smds_5_2_2_q16").code, jmax=1) == (2, [])
+
+
+def test_derived_complement_of_random_basic_matrices():
+    rng = XorShift64Star(61)
+    fields = [standard_field(q) for q in (2, 4, 8, 3, 7)]
+    fields.append(parse_field("GF(3^2;2,1,1)"))
+    shapes, degrees, unreduced = set(), set(), 0
+    for F in fields:
+        found = 0
+        while found < 25:
+            n = 2 + rng.below(4)
+            rows = 1 + rng.below(n - 1)
+            # short and empty entries make zero constant terms and memories
+            # above the degree (matrices that are not row reduced)
+            M = pm_make(F, [[tuple(rng.below(F.q) for _ in range(rng.below(3)))
+                             for _ in range(n)] for _ in range(rows)])
+            try:
+                delta = basic_degree(M)
+            except RankDeficient:
+                continue
+            if delta is None:
+                continue
+            _check_minimal_complement(M, delta, (F, M))
+            found += 1
+            shapes.add((n, rows))
+            degrees.add(delta)
+            unreduced += pm_memory(M) > delta
+    assert shapes == {(n, r) for n in range(2, 6) for r in range(1, n)}
+    assert {0, 1, 2, 3} <= degrees and unreduced > 0
 
 
 def test_window_matrices_availability():
-    c = fixture("smds_5_2_2_q16").code  # k=2, n=5: no parity derivable
-    assert window_generator(c) is not None
-    assert window_parity(c) is None
-    r = fixture("smds_2_1_2_q8").code
-    assert window_generator(r) is not None
-    assert window_parity(r) is not None
+    # every code has both windows: a stored matrix or its derived complement
+    for name, fx in sorted(all_fixtures().items()):
+        for c in (fx.code, dual(fx.code)):
+            G, H = window_generator(c), window_parity(c)
+            assert (G.rows, H.rows) == (c.k, c.n - c.k), name
+            assert pm_is_zero(pm_mul(G, pm_transpose(H))), name
+    c = fixture("smds_5_2_2_q16").code  # k=2, n=5, stores G only
+    assert window_parity(c) is c.complement
+    assert [max(map(poly_deg, row)) for row in c.complement.entries] == [1, 1, 0]
+    assert window_generator(c) is c.gen
 
 
 # smds_3_2_2_q16 stores only G, smds_2_1_2_q8 only H; both are decodable
@@ -225,9 +279,9 @@ def test_a_code_derives_its_complement_once(monkeypatch, name):
     seen = []
     real = code.derived_complement
 
-    def counted(M):
-        seen.append(M)
-        return real(M)
+    def counted(M, delta):
+        seen.append((M, delta))
+        return real(M, delta)
 
     monkeypatch.setattr(code, "derived_complement", counted)
     c = code.load_code(FIXTURES / f"{name}.code")
@@ -241,7 +295,7 @@ def test_a_code_derives_its_complement_once(monkeypatch, name):
     _, M = lm_params(c.n, c.k, c.delta)
     word = encode_word(c, [(1, 1)] * c.k, simulation_horizon(M) + 1)
     assert feedback_decode(word, c).ok
-    assert seen == [stored]
+    assert seen == [(stored, c.delta)]
 
 
 def test_filling_the_complement_leaves_equality_hash_and_repr():
@@ -267,20 +321,17 @@ def test_sliding_windows_match_their_block_definition():
         c = fx.code
         for sliding, P, upper in ((sliding_generator, window_generator(c), True),
                                   (sliding_parity, window_parity(c), False)):
-            if P is None:
-                continue
             for j in range(4):
                 S = sliding(c, j)
                 assert (S.j, S.block_cols) == (j, c.n), name
                 assert S.data == _block_window(P, j, upper), name
                 compared += 1
-    assert compared == 4 * 33
+    assert compared == 4 * 34
     c = fixture("smds_5_2_2_q16").code
-    with pytest.raises(BadParams, match="^window index must be nonnegative$"):
-        sliding_generator(c, -1)
-    with pytest.raises(MissingMatrix,
-                       match="^no parity check available for this code$"):
-        sliding_parity(c, 0)
+    for sliding in (sliding_generator, sliding_parity):
+        with pytest.raises(BadParams,
+                           match="^window index must be nonnegative$"):
+            sliding(c, -1)
 
 
 def test_sliding_generator_encodes_windows():

@@ -11,7 +11,8 @@ from convmds.decoder import (MAX_LENGTH, _window_plan, channel_trials,
                              feedback_decode, format_received_file,
                              load_received, make_error_pattern, make_received,
                              parse_received_file, save_received, simulate,
-                             solve_eta0, systematic_shortcut, word_from_polys)
+                             simulation_horizon, solve_eta0,
+                             systematic_shortcut, word_from_polys)
 from convmds.distances import lm_params
 from convmds.errors import (Ambiguous, BadParams, BudgetExceeded,
                             FieldMismatch, Infeasible, NoSolution,
@@ -68,6 +69,16 @@ def test_encode_word_matches_polynomial_product():
                 assert w.coordinate(i) == acc
         with pytest.raises(ShapeMismatch):
             encode_word(c, [()] * (c.k + 1), length=8)
+
+
+def test_encode_word_rejects_a_codeword_longer_than_length():
+    # word_from_polys makes the one length check
+    for name in ("smds_2_1_2_q8", "smds_3_2_2_q16"):
+        c = fixture(name).code
+        msg = [(1, 1, 1)] * c.k  # a codeword of degree at least 2
+        with pytest.raises(BadParams,
+                           match="^length 2 clips a degree-[2-9] coordinate$"):
+            encode_word(c, msg, length=2)
 
 
 def test_values_outside_the_field_are_rejected():
@@ -216,6 +227,24 @@ def test_walkthrough_decode():
     assert methods[0] == "search"
     assert any(m.startswith("shortcut") for m in methods)
     assert all(cyc.syndrome_weight == 0 for cyc in rep.cycles if cyc.j > 5)
+
+
+def test_tail_flags_exactly_the_cycles_past_the_last_full_window():
+    # cycle j's window [j, j+M] reaches past the horizon T just when j > T-M
+    walk = decode_walkthrough()
+    walked = feedback_decode(walk["received"], fixture(walk["code"]).code)
+    c = fixture("smds_3_2_2_q16").code
+    _, M = lm_params(c.n, c.k, c.delta)
+    horizon = simulation_horizon(M)
+    err = make_error_pattern(c.field, horizon + 1, c.n, M, decoding_radius(M),
+                             seed=5)
+    simulated = simulate(c, [(1, 2)] * c.k, err, horizon)
+    assert simulated.ok and simulated.matched
+    for rep, T, M in ((walked, 9, 4), (simulated, horizon, M)):
+        assert [cyc.j for cyc in rep.cycles] == list(range(T + 1))
+        assert [cyc.j for cyc in rep.cycles if cyc.tail] == list(
+            range(T - M + 1, T + 1))
+        assert rep.core_end == T - M
 
 
 def test_feedback_decode_clean_word_is_fixed_point():

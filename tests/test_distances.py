@@ -17,7 +17,7 @@ from convmds.distances import (_engines, _message_space, _syndrome_space,
                                griesmer_feasible, has_mdp_bruteforce,
                                has_mdp_minors, is_strongly_mds, lm_params,
                                profile, singleton_bound)
-from convmds.errors import BadParams, BudgetExceeded, MissingMatrix
+from convmds.errors import BadParams, BudgetExceeded
 from convmds.fixtures import all_fixtures, fixture
 from convmds.galois import standard_field
 from convmds.linalg import vec_weight
@@ -225,8 +225,10 @@ def test_column_distance_validation():
         with pytest.raises(BudgetExceeded):
             column_distance(fixture("smds_7_1_2_q8").code, 4, budget=10,
                             method=method)
-    with pytest.raises(MissingMatrix):
-        column_distance(fixture("smds_5_2_2_q16").code, 1, method="syndrome")
+    # smds_5_2_2_q16 stores G only; the syndrome engine reads the parity
+    # window of its derived complement
+    c = fixture("smds_5_2_2_q16").code
+    assert column_distance(c, 1, method="syndrome") == 7
 
 
 def test_profile_flags_and_bounds():

@@ -10,7 +10,8 @@ must be read as ``.name`` somewhere in ``src/``, ``tests/`` or
 an unrelated object's attribute of the same name is read.
 
 Within ``src/``, only ``CodeSpec.complement`` calls ``derived_complement``,
-so each code derives its window complement once.
+so each code derives its window complement once, and only ``make_code``
+raises ``MissingMatrix``: every code has both windows.
 """
 
 import ast
@@ -114,8 +115,9 @@ def test_member_allowlist_entries_are_still_unread():
     assert set(unread_members()) == MEMBERS_ALLOWED
 
 
-def callers_of(name: str) -> list:
-    """Qualified name of the def enclosing each call of ``name`` in src/."""
+def callers_of(name: str, raised: bool = False) -> list:
+    """Qualified name of the def enclosing each call of ``name`` in src/,
+    or with ``raised`` each ``raise name`` or ``raise name(...)``."""
     found = []
 
     def visit(node, scope):
@@ -123,9 +125,12 @@ def callers_of(name: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and getattr(
-                    child.func, "id", getattr(child.func, "attr", None)) == name:
-                found.append(".".join(scope))
+            if isinstance(child, ast.Raise if raised else ast.Call):
+                target = child.exc if raised else child
+                if isinstance(target, ast.Call):
+                    target = target.func
+                if getattr(target, "id", getattr(target, "attr", None)) == name:
+                    found.append(".".join(scope))
             visit(child, scope)
 
     for path in sorted(SRC.glob("*.py")):
@@ -137,3 +142,8 @@ def test_only_the_code_derives_its_window_complement():
     # every other window reader goes through CodeSpec.complement, which
     # derives the complement once per code
     assert callers_of("derived_complement") == ["code.CodeSpec.complement"]
+
+
+def test_only_make_code_raises_missing_matrix():
+    # a code needs one stored matrix; the other window is derived from it
+    assert callers_of("MissingMatrix", raised=True) == ["code.make_code"]
