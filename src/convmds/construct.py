@@ -60,8 +60,6 @@ from .superregular import (
 
 def required_tau(n: int, delta: int) -> int:
     """Size of the superregular matrix feeding an (n, n-1, delta) build."""
-    if n < 2 or delta < 0:
-        raise BadParams(f"bad parameters n={n} delta={delta}")
     _, M = lm_params(n, n - 1, delta)
     return (M + 1) * (n - 1)
 

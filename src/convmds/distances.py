@@ -20,10 +20,10 @@ cross-checked in the test suite:
   window among the first n lies in the span of s of the other columns.
 
 Both are capped by the per-window bound (n-k)(j+1)+1 and by the generalized
-Singleton bound, which every column distance obeys.  A search whose candidate
-count exceeds the budget (default 2^28) raises BudgetExceeded instead of
-silently grinding.  ``auto`` runs, of the engines whose candidates fit the
-budget, the one of least estimated work in field additions.  Messages: n k q^k
+Singleton bound, which every column distance obeys.  ``column_distance``
+runs, of the engines whose candidate space fits the budget (default 2^28),
+the one of least estimated work in field additions, and raises
+BudgetExceeded when none fits instead of silently grinding.  Messages: n k q^k
 per table u G_t (t <= min(nu, j)) plus n q^k per internal node, counting at
 depth d the ((q^k-1)/(q-1)) q^{k(d-1)} prefixes of a random code times the
 share V_q(dn, cap-1) / q^{dn} that weighs less than the cap, where
@@ -35,7 +35,7 @@ first support (for j <= L, cap-1 is the window's rank).
 ``profile`` is the one loop over j.  Column distances never decrease
 (truncating a window to [0, j-1] keeps u_0 != 0 and cannot add weight), so
 it hands d^c_{j-1} to the search at j as a proven floor: the parity search
-skips the span sizes below it, though it still charges them to the budget,
+skips the span sizes below it, though its candidate space still counts them,
 and the message search stops once a window meets it.  Once d^c_j meets the
 Singleton bound every later value equals it, so the rest is filled in
 without a search (proof in ``profile``).  The free distance is read from the
@@ -110,7 +110,7 @@ def _syndrome_space(c: CodeSpec, j: int) -> int:
 
 
 def _engines(c: CodeSpec, j: int, floor: int = 0) -> list:
-    """(candidate space, estimated work, method) per engine at j."""
+    """(candidate space, estimated work, name) per engine at j."""
     q, n, k, qk = c.field.q, c.n, c.k, c.field.q**c.k
     cap = _window_cap(n, k, c.delta, j)
     nodes = 1 if j else 0  # the root; at j = 0 it is the leaf
@@ -128,33 +128,32 @@ def _engines(c: CodeSpec, j: int, floor: int = 0) -> list:
 
 
 def column_distance(c: CodeSpec, j: int, budget: int = DEFAULT_BUDGET,
-                    method: str = "auto", at_least: int = 0) -> int:
+                    at_least: int = 0) -> int:
     """Exact j-th column distance of the code.
 
     ``at_least`` is a proven lower bound on d^c_j, such as d^c_{j-1}; the
     engines skip the work it rules out.  A bound above d^c_j is not caught.
-    ``method="auto"`` runs the engine of least estimated work (module
-    docstring) among those whose candidates fit the budget, else raises.
+    Runs the engine of least estimated work (module docstring) among those
+    whose candidate space fits the budget, else raises BudgetExceeded.
+
+    The engines charge no budget of their own: the space bounds all either
+    can do.  The message engine visits at most the q^{k(j+1)} messages; the
+    parity search asks each of the n targets about the C(N-1, s) supports
+    among the other columns of each size s below the cap, N = (j+1)n, and a
+    floor only skips sizes: n sum_{s<cap} C(N-1, s) at most, its space.
     """
     if j < 0:
         raise BadParams("window index must be nonnegative")
     engines = _engines(c, j, at_least)
-    if method == "auto":
-        fits = [(work, m) for space, work, m in engines if space <= budget]
-        if not fits:
-            raise BudgetExceeded(f"column distance at j={j} needs "
-                                 f"{min(engines)[0]} candidates, budget {budget}")
-        method = min(fits)[1]
-    if method == "messages":
-        return _dc_messages(c, j, budget, at_least)
-    if method == "syndrome":
-        return _dc_syndrome(c, j, budget, at_least)
-    raise BadParams(f"unknown method {method!r}")
+    fits = [(work, name) for space, work, name in engines if space <= budget]
+    if not fits:
+        raise BudgetExceeded(f"column distance at j={j} needs "
+                             f"{min(engines)[0]} candidates, budget {budget}")
+    run = _dc_messages if min(fits)[1] == "messages" else _dc_syndrome
+    return run(c, j, at_least)
 
 
-def _dc_messages(c: CodeSpec, j: int, budget: int, at_least: int) -> int:
-    if _message_space(c, j) > budget:
-        raise BudgetExceeded(f"message space {_message_space(c, j)} over budget")
+def _dc_messages(c: CodeSpec, j: int, at_least: int = 0) -> int:
     cap = _window_cap(c.n, c.k, c.delta, j)
     search = _MessageSearch(c.field, window_generator(c), j, cap + 1, at_least)
     search.descend(0, 0)
@@ -249,10 +248,10 @@ def _message_rows(F, Gt):
     return rows
 
 
-def _dc_syndrome(c: CodeSpec, j: int, budget: int, at_least: int) -> int:
+def _dc_syndrome(c: CodeSpec, j: int, at_least: int = 0) -> int:
     cols = linalg.transpose(sliding_parity(c, j).data)
     s = linalg.least_span_size(c.field, cols, range(c.n), at_least - 1,
-                               _window_cap(c.n, c.k, c.delta, j) - 1, budget)
+                               _window_cap(c.n, c.k, c.delta, j) - 1)
     assert s is not None, "column distance exceeded its provable cap"
     return s + 1
 
@@ -330,19 +329,18 @@ def profile(c: CodeSpec, horizon: int | None = None,
     return DistanceProfile(c.n, c.k, c.delta, L, M, sing, values)
 
 
-def free_distance(c: CodeSpec, horizon: int,
-                  budget: int = DEFAULT_BUDGET) -> FreeDistanceResult:
-    """Free distance as read from ``profile(c, horizon, budget)``."""
-    return profile(c, horizon, budget).free_distance
+def free_distance(c: CodeSpec, horizon: int) -> FreeDistanceResult:
+    """Free distance as read from ``profile(c, horizon)``."""
+    return profile(c, horizon).free_distance
 
 
-def is_strongly_mds(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:
-    return profile(c, budget=budget).strongly_mds is True
+def is_strongly_mds(c: CodeSpec) -> bool:
+    return profile(c).strongly_mds is True
 
 
-def has_mdp_bruteforce(c: CodeSpec, budget: int = DEFAULT_BUDGET) -> bool:
+def has_mdp_bruteforce(c: CodeSpec) -> bool:
     L, _ = lm_params(c.n, c.k, c.delta)
-    return column_distance(c, L, budget) == _window_cap(c.n, c.k, c.delta, L)
+    return column_distance(c, L) == _window_cap(c.n, c.k, c.delta, L)
 
 
 def has_mdp_minors(c: CodeSpec) -> bool:

@@ -15,9 +15,7 @@ size, leaving each target's own vector out of its walks.
 from __future__ import annotations
 
 import operator
-from math import comb
 
-from .errors import BudgetExceeded
 from .galois import FiniteField
 
 
@@ -227,22 +225,14 @@ class SpanPlan:
                                       size, skip)
 
 
-def least_span_size(F: FiniteField, vectors, targets, floor: int, limit: int,
-                    budget: int | None = None):
+def least_span_size(F: FiniteField, vectors, targets, floor: int, limit: int):
     """Least s in [floor, limit] with some vectors[t], t in targets, in the
-    span of s others, else None.  Every s, skipped or not, costs len(targets)
-    C(len(vectors)-1, s) of the budget, so a floor moves no budget boundary.
-    One plan over all the vectors serves every target and every size."""
-    plan = None
-    spent = 0
-    for s in range(limit + 1):
-        spent += len(targets) * comb(len(vectors) - 1, s)
-        if budget is not None and spent > budget:
-            raise BudgetExceeded(f"span search of size {s} over budget {budget}")
-        if s >= floor:
-            plan = plan or SpanPlan(F, vectors)
-            if any(any(plan.supports(vectors[t], s, skip=t)) for t in targets):
-                return s
+    span of s others, else None; it charges no budget.  One plan over all
+    the vectors serves every target and every size."""
+    plan = SpanPlan(F, vectors)
+    for s in range(max(floor, 0), limit + 1):
+        if any(any(plan.supports(vectors[t], s, skip=t)) for t in targets):
+            return s
     return None
 
 

@@ -17,9 +17,9 @@ from .code import dual, window_generator
 from .construct import construct_dual_mds, construct_strongly_mds
 from .decoder import (channel_trials, decoding_radius, feedback_decode,
                       make_error_pattern, simulate, simulation_horizon)
-from .distances import (column_distance, free_distance, griesmer_feasible,
-                        has_mdp_bruteforce, has_mdp_minors, lm_params,
-                        profile, _engines)
+from .distances import (free_distance, griesmer_feasible, has_mdp_bruteforce,
+                        has_mdp_minors, lm_params, profile, _dc_messages,
+                        _dc_syndrome, _engines)
 from .errors import BadParams, CodingError
 from .fixtures import (all_fixtures, decode_walkthrough, fixture,
                        reference_toeplitz)
@@ -79,8 +79,7 @@ def methods_agreement(c, jmax: int):
         if any(space > AGREEMENT_BUDGET for space, _, _ in _engines(c, j)):
             continue
         compared += 1
-        got = column_distance(c, j, AGREEMENT_BUDGET, "messages")
-        want = column_distance(c, j, AGREEMENT_BUDGET, "syndrome")
+        got, want = _dc_messages(c, j), _dc_syndrome(c, j)
         if got != want:
             problems.append(f"j={j}: messages {got} != syndrome {want}")
     return compared, problems

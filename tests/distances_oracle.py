@@ -6,7 +6,8 @@ integer; ``block_weight`` decodes a state into the weight of its codeword
 block, and when there are at most 2^18 states their weights are tabulated up
 front.  Every level, the last included, weighs each child message on its own.
 The normalized first block and the pruning are the package's, so both return
-the same d^c_j and raise at the same budget.
+the same d^c_j.  The oracle alone takes a budget, on the package's message
+space.
 
 ``admissible_picks`` lists the column picks whose full-size minors decide
 the MDP property, and ``has_mdp_minors_by_det`` takes one determinant per

@@ -8,7 +8,7 @@ Run by hand from the repository root (pytest does not collect it):
 For each bundled fixture (or each one named) and each j that ``profile``
 searches up to the horizon (default M), it runs both engines at the floor
 ``profile`` passes, d^c_{j-1}, and prints their median times, their work
-estimates from ``distances._engines``, the engine ``method="auto"`` picks
+estimates from ``distances._engines``, the engine ``column_distance`` picks
 and the faster one.  An engine whose candidate space exceeds the default
 budget, or whose matrix the code lacks, shows "-".  A row whose engines
 differ at least 2x and by at least 1 ms is marked "gap"; the last line gives
@@ -44,7 +44,7 @@ def profile_floors(c, horizon):
 
 
 def picked(c, j, floor):
-    """The engine ``method="auto"`` runs at j given the floor."""
+    """The engine ``column_distance`` runs at j given the floor."""
     seen = []
     real = {m: getattr(distances, f"_dc_{m}") for m in ("messages", "syndrome")}
 
@@ -94,10 +94,9 @@ def main():
             for space, work, method in _engines(c, j, floor):
                 works[method] = work
                 if space <= DEFAULT_BUDGET:
-                    ms[method] = median_ms(
-                        lambda: column_distance(c, j, method=method,
-                                                at_least=floor),
-                        args.repeats)
+                    run = getattr(distances, f"_dc_{method}")
+                    ms[method] = median_ms(lambda: run(c, j, floor),
+                                           args.repeats)
             faster, mark = "-", ""
             if len(ms) == 2:
                 faster = min(ms, key=ms.get)

@@ -35,8 +35,10 @@ def test_required_tau_goldens():
     assert required_tau(2, 3) == 7
     assert required_tau(3, 2) == 8
     assert required_tau(4, 1) == 6
-    with pytest.raises(BadParams):
-        required_tau(1, 2)
+    assert required_tau(2, 0) == 1
+    for n, delta in ((1, 2), (2, -1)):  # lm_params' check on (n, n-1, delta)
+        with pytest.raises(BadParams, match=f"n={n} k={n - 1} delta={delta}"):
+            required_tau(n, delta)
 
 
 def test_build_hhat_checks_inputs():
@@ -50,6 +52,10 @@ def test_build_hhat_checks_inputs():
         build_hhat(T, 3, 4)
     with pytest.raises(NotSuperregular):
         build_hhat(toeplitz(F8, (1, 1, 1, 1, 1)), 2, 4)
+    one = toeplitz(F8, (1,))
+    assert build_hhat(one, 2, 0).data == [[1, 1]]  # M = 0: one block column
+    with pytest.raises(BadParams):  # not a ShapeMismatch on the 0x0 size
+        build_hhat(one, 1, 0)
 
 
 def test_solve_ab_reproduces_window_series():

@@ -259,8 +259,15 @@ def test_feedback_decode_clean_word_is_fixed_point():
 
 
 def test_feedback_decode_needs_room():
+    # horizon T = M leaves one full window [0, M]: cycle 0 is decoded and
+    # every later cycle is a tail cycle
     c = fixture("smds_2_1_2_q8").code
-    short = make_received(F8, [(1, 1)] * 3)
+    _, M = lm_params(c.n, c.k, c.delta)
+    word = encode_word(c, [(1, 2)], length=M + 1)
+    rep = feedback_decode(word, c)
+    assert rep.ok and rep.decoded == word.symbols
+    assert [cyc.j for cyc in rep.cycles if cyc.tail] == list(range(1, M + 1))
+    short = make_received(F8, [(1, 1)] * M)
     with pytest.raises(BadParams):
         feedback_decode(short, c)
 
@@ -405,6 +412,13 @@ def test_simulate_end_to_end():
         simulate(c, [(1,)], make_error_pattern(F8, 10, 3, M, t, seed=0), 20)
     with pytest.raises(BadParams):
         simulate(c, [(1,)], make_error_pattern(F8, 40, 2, M, t, seed=0), 6)
+    # the codeword of a degree-d message ends at d + 2 (G has memory 2),
+    # which may reach horizon - M and no further
+    err = make_error_pattern(F8, horizon + 1, c.n, M, t, seed=0)
+    top = horizon - M - 2
+    assert simulate(c, [(1,) * (top + 1)], err, horizon).matched
+    with pytest.raises(BadParams, match="undecoded tail"):
+        simulate(c, [(1,) * (top + 2)], err, horizon)
 
 
 def test_received_file_round_trip():

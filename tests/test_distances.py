@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from convmds import distances, linalg
 from convmds.code import (MAX_LENGTH, dual, sliding_generator,
                           window_generator, window_parity)
-from convmds.distances import (_engines, _message_space, _syndrome_space,
+from convmds.distances import (_dc_messages, _dc_syndrome, _engines,
+                               _message_space, _syndrome_space,
                                column_distance, free_distance,
                                griesmer_feasible, has_mdp_bruteforce,
                                has_mdp_minors, is_strongly_mds, lm_params,
@@ -74,8 +75,8 @@ def test_column_distance_matches_enumeration():
         c = fixture(name).code
         for j in range(jmax + 1):
             want = oracle_dc(c, j)
-            assert column_distance(c, j, method="messages") == want, (name, j)
-            assert column_distance(c, j, method="syndrome") == want, (name, j)
+            assert _dc_messages(c, j) == want, (name, j)
+            assert _dc_syndrome(c, j) == want, (name, j)
             assert column_distance(c, j) == want, (name, j)
 
 
@@ -88,15 +89,18 @@ def _outcome(run, *args):
 
 def _matches_state_table(c, js):
     """The message engine against the state-table oracle at j = 0, 1, ...,
-    both alone and given the proven floor d^c_{j-1}."""
+    both alone and given the proven floor d^c_{j-1}; past ORACLE_BUDGET
+    messages neither runs."""
     floor = 0
     for j in js:
         want = _outcome(dc_messages_state_table, c, j, ORACLE_BUDGET)
-        assert _outcome(column_distance, c, j, ORACLE_BUDGET,
-                        "messages") == want, j
-        assert _outcome(column_distance, c, j, ORACLE_BUDGET, "messages",
-                        floor) == want, j
-        floor = want if want != "over budget" else 0
+        if _message_space(c, j) > ORACLE_BUDGET:
+            assert want == "over budget", j
+            floor = 0
+            continue
+        assert _dc_messages(c, j) == want, j
+        assert _dc_messages(c, j, floor) == want, j
+        floor = want
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -126,25 +130,15 @@ def test_syndrome_engine_floor_changes_no_value(name):
     assert js, name
     floor = 0
     for j in js:
-        want = column_distance(c, j, method="syndrome")
-        assert column_distance(c, j, method="syndrome",
-                               at_least=floor) == want, j
+        want = _dc_syndrome(c, j)
+        assert _dc_syndrome(c, j, floor) == want, j
         floor = want
 
 
 def test_floor_keeps_every_budget_boundary():
-    # the syndrome engine charges the levels the floor skips, so it fails
-    # at the same budget with or without it
-    c = fixture("smds_3_1_2_q16").code
-    N = 3 * c.n
-    need = c.n * sum(comb(N - 1, s) for s in range(7))  # d^c_2 = 7
-    for floor in (0, 5, 7):
-        assert column_distance(c, 2, need, "syndrome", at_least=floor) == 7
-        with pytest.raises(BudgetExceeded):
-            column_distance(c, 2, need - 1, "syndrome", at_least=floor)
     with pytest.raises(BudgetExceeded):
         column_distance(fixture("smds_7_1_2_q8").code, 4, budget=10,
-                        method="auto", at_least=20)
+                        at_least=20)
 
 
 def test_floor_keeps_every_budget_boundary_of_auto():
@@ -158,13 +152,13 @@ def test_floor_keeps_every_budget_boundary_of_auto():
 
 
 def test_is_strongly_mds_budget_boundary():
-    # read from the profile to M, whose largest window needs the most; at
-    # M = 6 only the syndrome engine fits, 2 sum_{s<8} C(13, s) < 32^7
+    # the flag is read from the profile to M, whose largest window needs the
+    # most; at M = 6 only the syndrome engine fits, 2 sum_{s<8} C(13, s) < 32^7
     c = fixture("smds_2_1_3_q32").code
     need = 2 * sum(comb(13, s) for s in range(8))
-    assert is_strongly_mds(c, need) is True
+    assert profile(c, budget=need).strongly_mds is True
     with pytest.raises(BudgetExceeded):
-        is_strongly_mds(c, need - 1)
+        profile(c, budget=need - 1)
     assert is_strongly_mds(fixture("mds_2_1_2_q11").code) is False
 
 
@@ -211,7 +205,8 @@ def test_auto_matches_both_engines_on_random_codes(c):
                 column_distance(c, j, budget, at_least=floor)
             return
         got = column_distance(c, j, budget, at_least=floor)
-        assert [column_distance(c, j, budget, m) for m in fit] == [got] * len(fit)
+        engines = {"messages": _dc_messages, "syndrome": _dc_syndrome}
+        assert [engines[m](c, j) for m in fit] == [got] * len(fit)
         floor = got
 
 
@@ -219,16 +214,12 @@ def test_column_distance_validation():
     c = fixture("smds_2_1_2_q8").code
     with pytest.raises(BadParams):
         column_distance(c, -1)
-    with pytest.raises(BadParams):
-        column_distance(c, 1, method="witchcraft")
-    for method in ("auto", "syndrome"):
-        with pytest.raises(BudgetExceeded):
-            column_distance(fixture("smds_7_1_2_q8").code, 4, budget=10,
-                            method=method)
+    with pytest.raises(BudgetExceeded):
+        column_distance(fixture("smds_7_1_2_q8").code, 4, budget=10)
     # smds_5_2_2_q16 stores G only; the syndrome engine reads the parity
     # window of its derived complement
     c = fixture("smds_5_2_2_q16").code
-    assert column_distance(c, 1, method="syndrome") == 7
+    assert _dc_syndrome(c, 1) == 7
 
 
 def test_profile_flags_and_bounds():
@@ -357,13 +348,13 @@ def test_message_engine_last_level_weighs_no_child(monkeypatch):
         return weights
 
     monkeypatch.setattr(distances._MessageSearch, "child_weights", spy)
-    assert column_distance(fx.code, 2, method="messages") == fx.profile[2]
+    assert _dc_messages(fx.code, 2) == fx.profile[2]
     assert sums.get(0) and sums.get(1) and not sums.get(2)
 
 
 @pytest.mark.parametrize("run", [
-    lambda c: column_distance(c, 2, method="syndrome"),
-    lambda c: column_distance(c, 2, method="messages"),
+    lambda c: _dc_syndrome(c, 2),
+    lambda c: _dc_messages(c, 2),
     has_mdp_minors,
     lambda c: search_toeplitz(5, standard_field(8)),
 ], ids=["syndrome", "messages", "minors", "toeplitz"])
@@ -385,6 +376,14 @@ def test_griesmer_goldens():
     assert griesmer_feasible(7, 2, 2, memory=1, d=13, q=13, i_max=1)
     for q in (2, 3, 4, 5, 7, 8, 9, 11):
         assert not griesmer_feasible(7, 2, 2, memory=1, d=13, q=q, i_max=1)
+    # the round whose dimension bound is 0 still counts: one block of
+    # length 2 cannot reach distance 3
+    assert not griesmer_feasible(2, 1, 0, memory=1, d=3, q=2, i_max=0)
+    edge = dict(n=2, k=1, delta=0, memory=1, d=2, q=2, i_max=0)
+    assert griesmer_feasible(**edge)
+    for bad in ({"memory": 0}, {"k": 2}):
+        with pytest.raises(BadParams):
+            griesmer_feasible(**{**edge, **bad})
 
 
 def test_griesmer_monotone_in_d():

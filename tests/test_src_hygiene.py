@@ -11,7 +11,10 @@ an unrelated object's attribute of the same name is read.
 
 Within ``src/``, only ``CodeSpec.complement`` calls ``derived_complement``,
 so each code derives its window complement once, and only ``make_code``
-raises ``MissingMatrix``: every code has both windows.
+raises ``MissingMatrix``: every code has both windows.  Each of the three
+budgeted searches (column distances, decoder supports, superregular
+columns) raises ``BudgetExceeded`` from one place, and the binomial
+minors' 8x8 cap is the only other raise.
 """
 
 import ast
@@ -147,3 +150,10 @@ def test_only_the_code_derives_its_window_complement():
 def test_only_make_code_raises_missing_matrix():
     # a code needs one stored matrix; the other window is derived from it
     assert callers_of("MissingMatrix", raised=True) == ["code.make_code"]
+
+
+def test_each_budget_is_checked_in_one_place():
+    # the column distances check their budget once, before any engine runs
+    assert callers_of("BudgetExceeded", raised=True) == [
+        "decoder.solve_eta0", "distances.column_distance",
+        "superregular.smallest_prime_superregular", "superregular._first_hit"]

@@ -106,6 +106,8 @@ def test_theorem_a_band_criterion():
         theorem_a_check(4, 2, (2, 1), (1, 2))
     with pytest.raises(BadParams):
         theorem_a_check(4, 2, (1, 5), (1, 2))
+    with pytest.raises(BadParams):  # a repeated index is not increasing
+        theorem_a_check(4, 2, (1, 1), (1, 2))
 
 
 def test_smallest_prime_small_sizes():
@@ -115,6 +117,7 @@ def test_smallest_prime_small_sizes():
 
 
 def test_search_exhaustive_hits_and_misses():
+    assert search_toeplitz(1, F2).col == (1,)
     hit = search_toeplitz(2, F2)
     assert hit is not None and hit.col == (1, 1)
     assert search_toeplitz(3, F2) is None  # needs a larger field
