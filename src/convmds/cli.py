@@ -216,8 +216,6 @@ def cmd_simulate(args) -> int:
     c = load_code(args.code)
     _, M = lm_params(c.n, c.k, c.delta)
     horizon = simulation_horizon(M) if args.horizon is None else args.horizon
-    if horizon < M:
-        raise BadParams(f"horizon {horizon} is shorter than one window (M={M})")
     rows = []
     recovered = flagged = 0
     trials = channel_trials(c, args.trials, args.seed, horizon,

@@ -80,7 +80,7 @@ def build_hhat(T: LowerToeplitz, n: int, M: int) -> SlidingMatrix:
     tau = (M + 1) * (n - 1)
     if T.size != tau:
         raise ShapeMismatch(f"need a {tau}x{tau} matrix, got {T.size}x{T.size}")
-    if T.field is None or not is_superregular(T):
+    if not is_superregular(T):
         raise NotSuperregular("input matrix is not superregular over its field")
     w = n - 1
     S = systematic_window(T.field, [T.col[t * w:(t + 1) * w][::-1]

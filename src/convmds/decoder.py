@@ -311,20 +311,11 @@ def feedback_decode(vhat: ReceivedWord, c: CodeSpec, paranoid: bool = False,
 
 
 @dataclass(frozen=True)
-class ErrorPattern:
+class ErrorPattern(ReceivedWord):
     """An additive error sequence with a sliding-window weight budget."""
 
-    field: FiniteField
-    symbols: tuple
     M: int
     t: int
-
-    @property
-    def n(self) -> int:
-        return len(self.symbols[0])
-
-    def weight(self) -> int:
-        return sum(1 for row in self.symbols for x in row if x)
 
     def window_weights(self):
         counts = [sum(1 for x in row if x) for row in self.symbols]
@@ -408,11 +399,16 @@ def channel_trials(c: CodeSpec, trials: int, seed: int, horizon: int,
     One xorshift64* stream, seeded with 97 + seed, draws each message (k
     polynomials of 5 coefficients) and then that trial's 64-bit pattern seed,
     so neighbouring run seeds share no pattern.  Patterns span horizon + 1
-    blocks; a horizon past the supported length, like a code that is not of
-    rate (n-1)/n, fails before any trial."""
+    blocks; a horizon past the supported length or too short for such a
+    message (below M + memory + 4), like a code that is not of rate (n-1)/n,
+    fails before any trial."""
     _check_length(horizon + 1)
     _parity_row(c)
     _, M = lm_params(c.n, c.k, c.delta)
+    least = M + pm_memory(window_generator(c)) + 4
+    if horizon < least:
+        raise BadParams(f"horizon {horizon} leaves no room for a 5-term "
+                        f"message: need M + memory + 4 = {least}")
     t = decoding_radius(M)
     rng = XorShift64Star(97 + seed)
     for _ in range(trials):

@@ -24,7 +24,7 @@ from .errors import BadParams, CodingError
 from .fixtures import (all_fixtures, decode_walkthrough, fixture,
                        reference_toeplitz)
 from .galois import standard_field
-from .superregular import (binomial_toeplitz, inverse_superregular,
+from .superregular import (binomial_column, inverse_superregular,
                            is_superregular, proper_minors_positive,
                            search_general_toeplitz, search_toeplitz,
                            smallest_prime_superregular, theorem_a_check)
@@ -212,7 +212,7 @@ def _check_superregular_search():
 def _check_binomial():
     problems = []
     for n in range(1, 7):
-        if not proper_minors_positive(binomial_toeplitz(n)):
+        if not proper_minors_positive(binomial_column(n)):
             problems.append(f"binomial matrix n={n}: nonpositive proper minor")
     import itertools
     checked = 0
@@ -221,7 +221,11 @@ def _check_binomial():
             for r in range(1, min(n, 4) + 1):
                 for rows in itertools.combinations(range(1, n + 1), r):
                     for cols in itertools.combinations(range(1, n + 1), r):
-                        theorem_a_check(n, k, rows, cols)
+                        banded = all(i - k <= j <= i for i, j in zip(rows, cols))
+                        sign = theorem_a_check(n, k, rows, cols)
+                        if sign != banded:
+                            problems.append(f"n={n} k={k} {rows}|{cols}: minor "
+                                            f"sign {sign}, band says {int(banded)}")
                         checked += 1
     want = [2, 5, 7, 11, 23, 43]
     got = [smallest_prime_superregular(n) for n in range(2, 8)]

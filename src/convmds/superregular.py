@@ -6,9 +6,7 @@ proper when j_v <= i_v for every v, which is exactly the family of submatrices
 that can be nonsingular at all for a lower triangular matrix.
 
 A LowerToeplitz is described by its first column (t_1, ..., t_l); entry (i, j)
-is t_{i-j+1} for i >= j and 0 above the diagonal.  The field may be None, in
-which case the matrix lives over the integers (used for the binomial matrices
-whose proper minors are all positive).
+is t_{i-j+1} for i >= j and 0 above the diagonal.
 
 Minors are checked one shift class and one level at a time.  Shifting a
 proper pair by -(j_1 - 1) in rows and columns leaves a Toeplitz minor
@@ -34,7 +32,7 @@ order (``_first_hit``), check a level when they set its entry and charge
 each candidate the level's shift classes; a None proves that none exists.
 
 Besides the direct minor test this module implements the closure properties
-(inverse, leading principal submatrices), binomial Toeplitz matrices with
+(inverse, leading principal submatrices), the integer binomial columns with
 their banded-power positivity criterion, the smallest prime over which the
 n-th binomial matrix stays superregular, and the searches.
 """
@@ -58,16 +56,17 @@ SEEDED_TRIES = 100000  # random candidates a seeded search draws
 
 @dataclass(frozen=True)
 class LowerToeplitz:
-    field: FiniteField | None
+    field: FiniteField
     col: tuple
 
     def __post_init__(self):
+        if self.field is None:
+            raise BadParams("a Toeplitz matrix needs a field")
         if not self.col:
             raise BadParams("empty Toeplitz column")
-        if self.field is not None:
-            for c in self.col:
-                if not isinstance(c, int) or not 0 <= c < self.field.q:
-                    raise BadParams(f"column value {c!r} outside {self.field}")
+        for c in self.col:
+            if not isinstance(c, int) or not 0 <= c < self.field.q:
+                raise BadParams(f"column value {c!r} outside {self.field}")
 
     @property
     def size(self) -> int:
@@ -133,8 +132,6 @@ def _level_ok(F: FiniteField, col, level=minor_level) -> bool:
 
 def is_superregular(T: LowerToeplitz) -> bool:
     """All proper minors nonzero, checked level by level (``minor_level``)."""
-    if T.field is None:
-        raise BadParams("superregularity test needs a field")
     return all(_level_ok(T.field, T.col[:k]) for k in range(1, T.size + 1))
 
 
@@ -145,8 +142,6 @@ def inverse_superregular(T: LowerToeplitz) -> LowerToeplitz:
     column polynomial, so inversion preserves the Toeplitz shape; it also
     preserves superregularity.
     """
-    if T.field is None:
-        raise BadParams("inversion implemented over fields")
     if T.col[0] == 0:
         raise Singular("diagonal entry is zero")
     inv_col = series_div(T.field, (1,), tuple(T.col), T.size)
@@ -156,40 +151,31 @@ def inverse_superregular(T: LowerToeplitz) -> LowerToeplitz:
 # --- integer binomial matrices and the banded power criterion -------------
 
 
-def binomial_toeplitz(n: int) -> LowerToeplitz:
-    """Integer Toeplitz matrix with first column binom(n-1, i), i = 0..n-1."""
+def binomial_column(n: int) -> tuple:
+    """First column binom(n-1, i), i = 0..n-1, of the n-th binomial matrix."""
     if n < 1:
         raise BadParams("size must be positive")
-    return LowerToeplitz(None, tuple(comb(n - 1, i) for i in range(n)))
+    return tuple(comb(n - 1, i) for i in range(n))
 
 
-def _integer_minors(T: LowerToeplitz):
-    """Exact big-integer proper minors, one per pair of ``minor_level``."""
-    return (linalg.det_bareiss(_minor(T.col, offsets))
-            for k in range(1, T.size + 1) for offsets in minor_level(k))
+def _integer_minors(col):
+    """Exact big-integer proper minors of a column, one per ``minor_level`` pair."""
+    return (linalg.det_bareiss(_minor(col, offsets))
+            for k in range(1, len(col) + 1) for offsets in minor_level(k))
 
 
-def proper_minors_positive(T: LowerToeplitz) -> bool:
+def proper_minors_positive(col) -> bool:
     """Exact big-integer check that every proper minor is positive."""
-    if T.field is not None:
-        raise BadParams("positivity is an integer matrix check")
-    return all(m > 0 for m in _integer_minors(T))
+    return all(m > 0 for m in _integer_minors(col))
 
 
-def banded_power(n: int, k: int):
-    """The k-th power of the n x n unit bidiagonal matrix: binom(k, i-j) band."""
-    if not 1 <= k <= n - 1:
-        raise BadParams("power k must satisfy 1 <= k <= n-1")
-    return [[comb(k, i - j) if 0 <= i - j <= k else 0 for j in range(n)] for i in range(n)]
+def theorem_a_check(n: int, k: int, rows, cols) -> int:
+    """Determinant sign (1, 0 or -1) of a submatrix of the banded binomial power.
 
-
-def theorem_a_check(n: int, k: int, rows, cols) -> bool:
-    """Determinant sign of a submatrix of the banded binomial power.
-
-    The submatrix on (rows | cols) of the k-th power of the bidiagonal matrix
-    has nonnegative determinant, positive exactly when every column index sits
-    in the band [i_l - k, i_l].  Returns positivity and asserts the criterion
-    agrees with the computed determinant.
+    The k-th power of the n x n unit bidiagonal matrix has entry binom(k, i-j)
+    for i >= j (0 past the band, as binom(k, i-j) = 0 for i - j > k).  Its
+    submatrix on (rows | cols) has nonnegative determinant, positive exactly
+    when every column index sits in the band [i_l - k, i_l].
     """
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols) or not rows:
@@ -199,13 +185,11 @@ def theorem_a_check(n: int, k: int, rows, cols) -> bool:
             a >= b for a, b in zip(seq, seq[1:])
         ):
             raise BadParams("indices must be strictly increasing within 1..n")
-    X = banded_power(n, k)
-    sub = [[X[i - 1][j - 1] for j in cols] for i in rows]
-    det = linalg.det_bareiss(sub)
-    band = all(i - k <= j <= i for i, j in zip(rows, cols))
-    assert det >= 0, "banded binomial minor went negative"
-    assert (det > 0) == band, "band criterion disagrees with determinant"
-    return det > 0
+    if not 1 <= k <= n - 1:
+        raise BadParams("power k must satisfy 1 <= k <= n-1")
+    det = linalg.det_bareiss([[comb(k, i - j) if i >= j else 0 for j in cols]
+                              for i in rows])
+    return (det > 0) - (det < 0)
 
 
 def smallest_prime_superregular(n: int) -> int:
@@ -215,7 +199,7 @@ def smallest_prime_superregular(n: int) -> int:
         raise BadParams("size must be at least 2")
     if n > 8:
         raise BudgetExceeded("minor enumeration beyond 8x8 not supported")
-    minors = list(_integer_minors(binomial_toeplitz(n)))
+    minors = list(_integer_minors(binomial_column(n)))
     # a prime above every |minor| divides none of them, so this returns
     return next(p for p in itertools.count(2)
                 if is_prime(p) and all(m % p for m in minors))

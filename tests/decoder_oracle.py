@@ -15,8 +15,8 @@ from math import comb
 from convmds import linalg
 from convmds.code import CodeSpec
 from convmds.decoder import (DEFAULT_SOLVE_BUDGET, ErrorPattern, ReceivedWord,
-                             _check_values, _parity_row, _syndrome_series,
-                             _window_plan, decoding_radius)
+                             _check_values, _parity_row, _window_plan,
+                             decoding_radius)
 from convmds.distances import lm_params
 from convmds.errors import (Ambiguous, BadParams, BudgetExceeded, CodingError,
                             Infeasible, NoSolution, NotRateNMinus1)
@@ -35,8 +35,15 @@ def window_syndrome(vhat: ReceivedWord, c: CodeSpec, j: int):
     if j < 0 or j + M > vhat.horizon:
         raise HorizonExceeded(
             f"window [{j}, {j + M}] leaves the received horizon {vhat.horizon}")
-    syn = _syndrome_series(c.field, vhat.symbols, parity, j + M + 1)
-    return syn[j:j + M + 1]
+    F, v = c.field, vhat.symbols
+    out = []
+    for s in range(j, j + M + 1):  # coefficient s = sum_i sum_d a_i[d] v_{s-d}[i]
+        acc = 0
+        for i, a in enumerate(parity):
+            for d in range(min(s, len(a) - 1) + 1):
+                acc = F.add(acc, F.mul(a[d], v[s - d][i]))
+        out.append(acc)
+    return out
 
 
 def _window_weight_at(grid, pos: int, M: int, t: int) -> bool:

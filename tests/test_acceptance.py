@@ -20,7 +20,7 @@ from convmds.distances import (free_distance, griesmer_feasible,
 from convmds.fixtures import (all_fixtures, decode_walkthrough, fixture,
                               reference_toeplitz)
 from convmds.galois import standard_field
-from convmds.superregular import (binomial_toeplitz, inverse_superregular,
+from convmds.superregular import (binomial_column, inverse_superregular,
                                   is_superregular, proper_minors_positive,
                                   search_general_toeplitz,
                                   smallest_prime_superregular, theorem_a_check,
@@ -57,7 +57,7 @@ def test_c2_superregular_references_and_gf4_size4_gap():
 
 def test_c3_binomial_matrices_band_criterion_and_smallest_primes():
     for n in range(1, 7):
-        assert proper_minors_positive(binomial_toeplitz(n)), n
+        assert proper_minors_positive(binomial_column(n)), n
     checked = 0
     for n in range(2, 7):
         for k in range(1, n):
@@ -71,6 +71,19 @@ def test_c3_binomial_matrices_band_criterion_and_smallest_primes():
     assert checked == 5680
     assert [smallest_prime_superregular(n) for n in range(2, 8)] == \
         [2, 5, 7, 11, 23, 43]
+
+
+def test_selftest_binomial_check_reports_a_wrong_band_sign(monkeypatch):
+    real = selftest.theorem_a_check
+
+    def one_wrong(n, k, rows, cols):
+        sign = real(n, k, rows, cols)
+        return -sign if (n, k, rows, cols) == (4, 2, (1, 2), (1, 2)) else sign
+
+    monkeypatch.setattr(selftest, "theorem_a_check", one_wrong)
+    [result] = selftest.run_checks(["binomial"])
+    assert not result.ok
+    assert result.detail == "n=4 k=2 (1, 2)|(1, 2): minor sign -1, band says 1"
 
 
 def test_c4_construction_pipelines_certify_strongly_mds():

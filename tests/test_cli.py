@@ -290,13 +290,21 @@ def test_simulate_rejects_negative_trials(capsys):
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])
-@pytest.mark.parametrize("horizon", ["-3", "3"])
+@pytest.mark.parametrize("horizon", ["-3", "3", "6", "9"])
 def test_simulate_rejects_a_horizon_below_one_window(capsys, trials, horizon):
+    # a trial's message has 5 terms, so M = 4 and memory 2 need horizon 10
     rc, out, err = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
                        "--trials", trials, "--horizon", horizon)
     assert rc == 1 and out == ""
-    assert err == (f"error[BAD_PARAMS]: horizon {horizon} is shorter than "
-                   "one window (M=4)\n")
+    assert err == (f"error[BAD_PARAMS]: horizon {horizon} leaves no room for a "
+                   "5-term message: need M + memory + 4 = 10\n")
+
+
+def test_simulate_runs_at_the_least_horizon(capsys):
+    rc, out, err = run(capsys, "simulate", "--code", f"{FIX}/smds_2_1_2_q8.code",
+                       "--trials", "3", "--horizon", "10", "--format", "csv")
+    assert rc == 0 and not err
+    assert "recovered,3/3" in out
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])

@@ -25,7 +25,7 @@ F8 = standard_field(8)
 
 def ref(q, size):
     for T in reference_toeplitz():
-        if T.field is not None and T.field.q == q and T.size == size:
+        if T.field.q == q and T.size == size:
             return T
     raise AssertionError(f"no reference matrix for q={q} size={size}")
 

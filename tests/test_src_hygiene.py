@@ -14,7 +14,9 @@ so each code derives its window complement once, and only ``make_code``
 raises ``MissingMatrix``: every code has both windows.  Each of the three
 budgeted searches (column distances, decoder supports, superregular
 columns) raises ``BudgetExceeded`` from one place, and the binomial
-minors' 8x8 cap is the only other raise.
+minors' 8x8 cap is the only other raise.  A ``LowerToeplitz`` refuses a
+missing field when it is built, so no function that takes one tests its
+domain again.
 """
 
 import ast
@@ -157,3 +159,15 @@ def test_each_budget_is_checked_in_one_place():
     assert callers_of("BudgetExceeded", raised=True) == [
         "decoder.solve_eta0", "distances.column_distance",
         "superregular.smallest_prime_superregular", "superregular._first_hit"]
+
+
+def test_only_lower_toeplitz_tests_for_a_missing_field():
+    # the CLI's --field option is the one other ``.field`` compared with None
+    found = [(path.stem, ast.unparse(node))
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Compare)
+             and getattr(node.left, "attr", None) == "field"
+             and any(getattr(c, "value", 0) is None for c in node.comparators)]
+    assert found == [("cli", "args.field is not None"),
+                     ("superregular", "self.field is None")]

@@ -7,7 +7,7 @@ import pytest
 
 from convmds.errors import BadParams, BudgetExceeded, Singular
 from convmds.galois import standard_field
-from convmds.superregular import (LowerToeplitz, binomial_toeplitz,
+from convmds.superregular import (LowerToeplitz, binomial_column,
                                   general_toeplitz, inverse_superregular,
                                   is_superregular, proper_minors_positive,
                                   search_general_toeplitz, search_toeplitz,
@@ -39,8 +39,9 @@ def test_lower_toeplitz_checks_its_own_column(col):
         LowerToeplitz(standard_field(8), col)
 
 
-def test_integer_lower_toeplitz_takes_any_integers():
-    assert LowerToeplitz(None, (1, -1, 9)).rows()[2] == [9, -1, 1]
+def test_lower_toeplitz_needs_a_field():
+    with pytest.raises(BadParams, match="needs a field"):
+        LowerToeplitz(None, (1, 1, 2))
 
 
 def test_proper_pairs_shape():
@@ -84,24 +85,23 @@ def test_equivalence_report_on_samples():
 
 
 def test_binomial_matrix_definition():
-    T = binomial_toeplitz(5)
-    assert T.col == tuple(comb(4, i) for i in range(5))
-    assert T.field is None
-    with pytest.raises(BadParams):
-        proper_minors_positive(toeplitz(F4, (1, 1, 2)))
-    with pytest.raises(BadParams):
-        is_superregular(binomial_toeplitz(3))
+    assert binomial_column(5) == tuple(comb(4, i) for i in range(5))
 
 
 def test_binomial_proper_minors_positive_small():
     for n in range(1, 5):
-        assert proper_minors_positive(binomial_toeplitz(n))
+        assert proper_minors_positive(binomial_column(n))
 
 
 def test_theorem_a_band_criterion():
-    assert theorem_a_check(4, 2, (1, 2), (1, 2))
-    assert not theorem_a_check(4, 2, (1, 2), (3, 4))
-    assert theorem_a_check(5, 3, (2, 4), (1, 3))
+    assert theorem_a_check(4, 2, (1, 2), (1, 2)) == 1
+    assert theorem_a_check(4, 2, (1, 2), (3, 4)) == 0
+    assert theorem_a_check(5, 3, (2, 4), (1, 3)) == 1
+    # column 2 lies outside row 4's band [3, 4]
+    assert theorem_a_check(4, 1, (2, 4), (1, 2)) == 0
+    for k in (0, 4):
+        with pytest.raises(BadParams, match="1 <= k <= n-1"):
+            theorem_a_check(4, k, (1,), (1,))
     with pytest.raises(BadParams):
         theorem_a_check(4, 2, (2, 1), (1, 2))
     with pytest.raises(BadParams):

@@ -11,7 +11,7 @@ from convmds.galois import parse_field, standard_field
 from convmds.fixtures import reference_toeplitz
 from convmds import linalg
 from convmds.linalg import det_bareiss, mat_det
-from convmds.superregular import (LowerToeplitz, binomial_toeplitz,
+from convmds.superregular import (LowerToeplitz, binomial_column,
                                   general_classes, general_level,
                                   inverse_superregular, is_superregular,
                                   minor_level, proper_minors_positive,
@@ -283,7 +283,7 @@ def test_budget_boundaries(l, q, least, want):
 
 
 def test_binomial_matrices_over_the_integers_and_least_primes():
-    assert all(proper_minors_positive(binomial_toeplitz(n))
+    assert all(proper_minors_positive(binomial_column(n))
                for n in range(1, 9))
     assert [smallest_prime_superregular(n) for n in range(2, 9)] == [
         2, 5, 7, 11, 23, 43, 79]
@@ -291,10 +291,10 @@ def test_binomial_matrices_over_the_integers_and_least_primes():
 
 def test_integer_positivity_matches_oracle():
     rng = random.Random(11)
-    columns = [binomial_toeplitz(n).col for n in range(1, 7)]
+    columns = [binomial_column(n) for n in range(1, 7)]
     columns += [tuple(rng.randint(-1, 6) for _ in range(rng.randint(1, 6)))
                 for _ in range(60)]
     for col in columns:
         want = all(det_bareiss(submatrix(col, rows, cols)) > 0
                    for rows, cols in proper_pairs(len(col)))
-        assert proper_minors_positive(LowerToeplitz(None, col)) == want, col
+        assert proper_minors_positive(col) == want, col
